@@ -2,105 +2,121 @@
 
 The three kernels below dominate the runtime of the exhaustive suites:
 
-* ``production_rank`` -- rank of the example/hypothesis game tree of a
-  set system, memoized on the state (presented-example set, current
-  hypothesis).  Members and state sets are bitmasks over the support.
+* ``production_rank`` / ``production_state_rank`` -- rank of the
+  example/hypothesis game tree of a set system, and of its continuation
+  from a mid-game state.  Members and example sets are bitmasks over the
+  support.  Both are answered by one search memoised on the version space
+  (Mitchell, "Generalization as Search", AIJ 1982): the set ``C`` of
+  members that still cover every example presented so far, itself a
+  bitmask over member indices.
 * ``bad_sequence_rank`` -- rank of the tree of bad sequences of a finite
   quasi-order, memoized on the forbidden upward closure.
 * ``ramsey_search`` -- exhaustive two-coloring search with clique pruning
   and a color-swap symmetry cut on the first edge.
 
-A compiled twin lives in ``_kernels.pyx``; ``ordkit.kernels`` picks
-whichever is importable.  Both must return identical values everywhere.
+The production search.  Let ``contains[t]`` be the set of members holding
+element ``t``.  Then ``V(empty) = 0`` and ``V(C) = 1 + max V(C & contains[t])``
+over the ``t`` with ``C & contains[t] != C`` (the max is 0 when there is
+none); ``production_rank = max_t V(contains[t])`` and the continuation
+from ``(seen, hyp)`` is ``max over t not in hyp of V(cover(seen) &
+contains[t])``.  Why: the covers of ``seen | {t}`` are exactly
+``cover(seen) & contains[t]``, and some hypothesis in ``C`` leaves ``t``
+fresh exactly when that set differs from ``C``.
+
+One solver, and so one memo, is shared per (deduplicated members, support)
+in a small LRU cache, so a witness extraction reuses the memo that the
+rank just filled.  Memo values are pure functions of that key.
+
+A compiled twin of the other two kernels lives in ``_kernels.pyx``;
+``ordkit.kernels`` picks whichever is importable.  Both must return
+identical values everywhere.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
+
+
+class _ProductionSolver:
+    """Ranks of version spaces of one set system; ``memo`` grows across calls."""
+
+    def __init__(self, members: tuple[int, ...], support_mask: int):
+        contains: dict[int, int] = {}
+        for i, m in enumerate(members):
+            while m:
+                t = m & -m
+                m ^= t
+                contains[t] = contains.get(t, 0) | 1 << i
+        self.contains = contains
+        self.all_members = (1 << len(members)) - 1
+        # elements with the same holders are interchangeable; a held-by-none
+        # element leads to the empty version space, of rank 0
+        self.columns = tuple({c for t, c in contains.items() if t & support_mask})
+        self.memo: dict[int, int] = {0: 0}
+
+    def rank(self, cover: int) -> int:
+        """V(cover): the longest play whose first hypothesis lies in ``cover``."""
+        memo = self.memo
+        val = memo.get(cover)
+        if val is not None:
+            return val
+        best = 0
+        ceiling = cover.bit_count() - 1  # each move strictly shrinks the cover
+        for nxt in {cover & c for c in self.columns}:
+            if nxt != cover:
+                r = memo.get(nxt)
+                if r is None:
+                    r = self.rank(nxt)
+                if r > best:
+                    best = r
+                    if best == ceiling:
+                        break
+        memo[cover] = best + 1
+        return best + 1
+
+    def cover(self, seen: int) -> int:
+        """Indices of the members that hold every element of ``seen``."""
+        contains = self.contains
+        cover = self.all_members
+        while seen and cover:
+            t = seen & -seen
+            seen ^= t
+            cover &= contains.get(t, 0)
+        return cover
+
+
+@lru_cache(maxsize=8)
+def _solver(members: tuple[int, ...], support_mask: int) -> _ProductionSolver:
+    return _ProductionSolver(members, support_mask)
 
 
 def production_rank(member_masks: Sequence[int], support_mask: int) -> int:
     """Length of the longest production sequence (0 if no nonempty member).
 
-    State: (seen, hyp) with seen = set of presented examples, hyp = current
-    hypothesis; extensions pick a fresh t outside hyp and a member covering
-    seen | {t}.  The first move has no freshness constraint.
+    The opening example may be any element of any member; later examples
+    are drawn from ``support_mask``.
     """
-    members = tuple(dict.fromkeys(member_masks))
-    covers_cache: dict[int, tuple[int, ...]] = {}
-    memo: dict[tuple[int, int], int] = {}
-
-    def covers(need: int) -> tuple[int, ...]:
-        got = covers_cache.get(need)
-        if got is None:
-            got = tuple(m for m in members if need & ~m == 0)
-            covers_cache[need] = got
-        return got
-
-    def rank(seen: int, hyp: int) -> int:
-        key = (seen, hyp)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        best = 0
-        free = support_mask & ~hyp
-        while free:
-            t = free & -free
-            free ^= t
-            need = seen | t
-            for nxt in covers(need):
-                r = 1 + rank(need, nxt)
-                if r > best:
-                    best = r
-        memo[key] = best
-        return best
-
-    best = 0
-    for m in members:
-        bits = m
-        while bits:
-            t = bits & -bits
-            bits ^= t
-            r = 1 + rank(t, m)
-            if r > best:
-                best = r
-    return best
+    solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
+    return max(map(solver.rank, set(solver.contains.values())), default=0)
 
 
 def production_state_rank(
     member_masks: Sequence[int], support_mask: int, seen: int, hyp: int
 ) -> int:
     """Rank of the game continuation from a mid-game state; used for witnesses."""
-    members = tuple(dict.fromkeys(member_masks))
-    covers_cache: dict[int, tuple[int, ...]] = {}
-    memo: dict[tuple[int, int], int] = {}
-
-    def covers(need: int) -> tuple[int, ...]:
-        got = covers_cache.get(need)
-        if got is None:
-            got = tuple(m for m in members if need & ~m == 0)
-            covers_cache[need] = got
-        return got
-
-    def rank(s: int, h: int) -> int:
-        key = (s, h)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        best = 0
-        free = support_mask & ~h
-        while free:
-            t = free & -free
-            free ^= t
-            need = s | t
-            for nxt in covers(need):
-                r = 1 + rank(need, nxt)
-                if r > best:
-                    best = r
-        memo[key] = best
-        return best
-
-    return rank(seen, hyp)
+    solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
+    cover = solver.cover(seen)
+    contains = solver.contains
+    best = 0
+    free = support_mask & ~hyp
+    while free:
+        t = free & -free
+        free ^= t
+        r = solver.rank(cover & contains.get(t, 0))
+        if r > best:
+            best = r
+    return best
 
 
 def bad_sequence_rank(up_masks: Sequence[int]) -> int:

@@ -12,6 +12,7 @@ import json
 import click
 
 from . import checks as checks_mod
+from . import kernels
 from .atoms import atom_from_json, atom_to_json
 from .errors import InvalidQuery, OrdkitError
 from .lang import (
@@ -73,10 +74,27 @@ def _emit(ctx, payload, human: str):
 @click.pass_context
 def main(ctx, as_json, seed, trials, max_size, strict):
     """Order types of set systems and quasi-orders, traces, and theorem checks."""
+    try:
+        _check_limits(trials, max_size)
+    except OrdkitError as exc:
+        _fail_input(ctx, exc)
     ctx.ensure_object(dict)
     ctx.obj.update(
         json=as_json, seed=seed, trials=trials, max_size=max_size, strict=strict
     )
+
+
+def _check_limits(trials, max_size):
+    """Reject a negative trial count or a size cap below 1 as bad input."""
+    if trials is not None and trials < 0:
+        raise InvalidQuery(f"--trials must be at least 0, got {trials}")
+    if max_size is not None and max_size < 1:
+        raise InvalidQuery(f"--max-size must be at least 1, got {max_size}")
+
+
+def _fail_input(ctx, exc):
+    click.echo(f"error: {exc}", err=True)
+    ctx.exit(2)
 
 
 _json_opt = click.option(
@@ -94,8 +112,7 @@ def _wrap(fn):
         try:
             return fn(ctx, *args, **kwargs)
         except OrdkitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(2)
+            _fail_input(ctx, exc)
 
     return runner
 
@@ -331,6 +348,7 @@ def chain_cmd(ctx, family, length, element_horizon, family_horizon):
 @_wrap
 def check_cmd(ctx, suite, seed, trials, max_size):
     """Run a theorem-check suite; exit 1 when any property fails."""
+    _check_limits(trials, max_size)
     reports = checks_mod.run_suite(
         suite,
         seed=ctx.obj["seed"] if seed is None else seed,
@@ -353,6 +371,19 @@ def check_cmd(ctx, suite, seed, trials, max_size):
                 failed = True
     if failed:
         ctx.exit(1)
+
+
+@main.command("info")
+@_json_opt
+@click.pass_context
+@_wrap
+def info_cmd(ctx):
+    """Kernel lane in use and, when the compiled lane failed to load, why."""
+    payload = {"backend": kernels.BACKEND, "fallback_reason": kernels.FALLBACK_REASON}
+    human = f"backend: {kernels.BACKEND}"
+    if kernels.FALLBACK_REASON is not None:
+        human += f"\nfallback reason: {kernels.FALLBACK_REASON}"
+    _emit(ctx, payload, human)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,18 @@
 A production sequence alternates fresh examples with covering hypotheses:
 every hypothesis contains all examples presented so far, and each example
 after a hypothesis falls outside that hypothesis.  The dimension is the
-rank of the tree of production sequences; here it is computed by a
-memoized search over (presented examples, current hypothesis) states,
-which the tests cross-check against a naive full-tree oracle.
+rank of the tree of production sequences.
+
+Once the examples are fixed, the rest of the game depends only on the
+version space, the set of members that still cover them, and on the
+current hypothesis, which only rules out some next examples.  The kernel
+search is therefore memoised on that set, with ``V(C) = 1 + max
+V(C & contains[t])`` over the elements ``t`` left out by some member of
+``C``.  The two facts behind it: the covers of ``seen | {t}`` are exactly
+``cover(seen) & contains[t]``, and some hypothesis in ``C`` leaves ``t``
+fresh exactly when that set differs from ``C``.  The tests cross-check
+the search against a naive full-tree oracle.  A witness extraction shares
+the memo that ``dim`` filled for the same system.
 """
 
 from __future__ import annotations

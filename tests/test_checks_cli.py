@@ -191,3 +191,43 @@ def test_malformed_input_exits_2(runner, tmp_path):
 def test_all_suites_pass_at_small_sizes():
     for report in run_suite("all", seed=7, trials=30, max_size=2):
         assert report.ok, f"{report.suite}: {report.failures[:2]}"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "trace-laws", "--max-size", "0"], "--max-size"),
+        (["check", "all", "--max-size", "-1"], "--max-size"),
+        (["--max-size", "0", "check", "trace-laws"], "--max-size"),
+        (["check", "repre", "--trials", "-5"], "--trials"),
+        (["--trials", "-5", "check", "repre"], "--trials"),
+        (["--max-size", "0", "dim", "unused.json"], "--max-size"),
+    ],
+)
+def test_bad_limits_exit_2_with_diagnostic(runner, argv, flag):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {flag} must be at least")
+
+
+def test_smallest_limits_are_accepted(runner):
+    result = runner.invoke(main, ["check", "repre", "--max-size", "1", "--trials", "0"])
+    assert result.exit_code == 0
+
+
+def test_info_reports_lane(runner, monkeypatch):
+    from ordkit import kernels
+
+    result = runner.invoke(main, ["--json", "info"])
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload == {
+        "backend": kernels.BACKEND,
+        "fallback_reason": kernels.FALLBACK_REASON,
+    }
+    monkeypatch.setattr(kernels, "BACKEND", "python")
+    monkeypatch.setattr(kernels, "FALLBACK_REASON", "ImportError: no lane")
+    result = runner.invoke(main, ["info"])
+    assert result.stdout == "backend: python\nfallback reason: ImportError: no lane\n"
