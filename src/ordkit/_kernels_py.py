@@ -1,6 +1,7 @@
-"""Pure-Python implementations of the hot search kernels.
+"""The hot search kernels, in pure Python on arbitrary-width integers.
 
-The three kernels below dominate the runtime of the exhaustive suites:
+The kernels below dominate the runtime of the exhaustive suites; callers
+reach them through ``ordkit.kernels``:
 
 * ``production_rank`` / ``production_state_rank`` -- rank of the
   example/hypothesis game tree of a set system, and of its continuation
@@ -26,10 +27,6 @@ fresh exactly when that set differs from ``C``.
 One solver, and so one memo, is shared per (deduplicated members, support)
 in a small LRU cache, so a witness extraction reuses the memo that the
 rank just filled.  Memo values are pure functions of that key.
-
-A compiled twin of the other two kernels lives in ``_kernels.pyx``;
-``ordkit.kernels`` picks whichever is importable.  Both must return
-identical values everywhere.
 """
 
 from __future__ import annotations

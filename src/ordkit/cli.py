@@ -378,12 +378,8 @@ def check_cmd(ctx, suite, seed, trials, max_size):
 @click.pass_context
 @_wrap
 def info_cmd(ctx):
-    """Kernel lane in use and, when the compiled lane failed to load, why."""
-    payload = {"backend": kernels.BACKEND, "fallback_reason": kernels.FALLBACK_REASON}
-    human = f"backend: {kernels.BACKEND}"
-    if kernels.FALLBACK_REASON is not None:
-        human += f"\nfallback reason: {kernels.FALLBACK_REASON}"
-    _emit(ctx, payload, human)
+    """Kernel lane in use."""
+    _emit(ctx, {"backend": kernels.BACKEND}, f"backend: {kernels.BACKEND}")
 
 
 if __name__ == "__main__":

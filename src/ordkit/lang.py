@@ -154,6 +154,8 @@ def closure_bounded(
     """
     if kind not in _CLOSURE_KINDS:
         raise InvalidQuery(f"unknown closure kind {kind!r}")
+    if max_len < 0:
+        raise InvalidQuery(f"max_len must be at least 0, got {max_len}")
     base = {w for w in fragment.words if len(w) <= max_len}
     shuffle = kind in ("shuffle_diamond", "shuffle_closure")
     closed = set(base)
@@ -322,6 +324,10 @@ def elasticity_chain(
     """
     if k < 1:
         raise InvalidQuery("chain length must be at least 1")
+    if element_horizon < 0:
+        raise InvalidQuery(f"element_horizon must be at least 0, got {element_horizon}")
+    if family_horizon < 0:
+        raise InvalidQuery(f"family_horizon must be at least 0, got {family_horizon}")
     memo: dict[tuple[int, int], bool] = {}
 
     def mem(i: int, n: int) -> bool:

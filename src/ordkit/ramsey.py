@@ -9,8 +9,8 @@ never unverified literature numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from . import kernels
@@ -21,6 +21,9 @@ from .systems import SetSystem, ew_union
 from .traces import Trace, branching_degree, direct_image
 
 VERIFY_VERTEX_BOUND = 7
+# a number below 2**UPPER_BOUND_BITS has at most 4,300 decimal digits, the
+# most that Python's int-to-str conversion accepts by default
+UPPER_BOUND_BITS = 14_283
 
 
 @dataclass(frozen=True)
@@ -44,19 +47,23 @@ def _query(sizes) -> RamseyQuery:
     return RamseyQuery(tuple(sizes))
 
 
-@lru_cache(maxsize=None)
 def _upper2(l: int, m: int) -> int:
-    if l == 1 or m == 1:
-        return 1
-    if l == 2:
-        return m
-    if m == 2:
-        return l
-    return _upper2(l - 1, m) + _upper2(l, m - 1)
+    """R(l, m) <= C(l+m-2, l-1), the closed form of the two-color recurrence."""
+    n, k = l + m - 2, l - 1
+    # C(n, k) < 2**n and C(n, k) <= n**j with j = min(k, n-k): a cap on its bits
+    if min(n, min(k, n - k) * n.bit_length()) > UPPER_BOUND_BITS:
+        raise InvalidQuery(
+            f"the Ramsey upper bound would exceed {UPPER_BOUND_BITS} bits"
+        )
+    return math.comb(n, k)
 
 
 def ram_upper(sizes) -> int:
-    """Recurrence upper bound; exact on the base rows, nested for many colors."""
+    """Recurrence upper bound; exact on the base rows, nested for many colors.
+
+    A bound that could exceed ``UPPER_BOUND_BITS`` bits is refused before it
+    is computed.
+    """
     q = _query(sizes)
     ls = q.clique_sizes
     if len(ls) == 1:

@@ -91,6 +91,8 @@ def test_closure_fixtures():
     assert plus.words == star.words - {""}
     with pytest.raises(InvalidQuery):
         closure_bounded(mk_fragment("a", 1, ["a"]), "weird", 3)
+    with pytest.raises(InvalidQuery):
+        closure_bounded(mk_fragment("a", 1, ["a"]), "star", -1)
 
 
 def test_closure_monotone_and_idempotent():
@@ -194,6 +196,10 @@ def test_elasticity_chains():
     assert elasticity_chain(singl, 2) is None
     with pytest.raises(InvalidQuery):
         elasticity_chain(dcl, 0)
+    with pytest.raises(InvalidQuery):
+        elasticity_chain(dcl, 1, element_horizon=-1)
+    with pytest.raises(InvalidQuery):
+        elasticity_chain(dcl, 1, family_horizon=-1)
 
 
 def test_validator_rejects_corrupt_chain():

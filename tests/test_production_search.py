@@ -1,8 +1,4 @@
-"""The version-space production search against naive game-tree oracles.
-
-These run in every lane: the production kernels are pure Python even when
-the compiled extension is built.
-"""
+"""The version-space production search against naive game-tree oracles."""
 
 import random
 from functools import lru_cache
@@ -11,6 +7,7 @@ from ordkit import (
     _kernels_py as py,
     dim,
     ew_product,
+    kernels,
     leaf,
     longest_production_sequence,
     mk_qo,
@@ -80,8 +77,10 @@ def test_production_rank_on_duplicate_and_empty_members():
     assert py.production_rank((0b01, 0b01, 0b11), 0b11) == py.production_rank(
         (0b01, 0b11), 0b11
     )
+    # masks wider than a machine word, through the entry point callers use
     wide = 1 << 80
     assert py.production_rank((wide,), wide) == 1
+    assert kernels.production_rank((wide,), wide) == 1
 
 
 def powerset_system(n):

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -33,6 +34,34 @@ def test_ram_upper_values():
         assert ram_upper((2, l)) == l
     assert ram_upper((3, 4)) == 10
     assert ram_upper((3, 3, 3)) == ram_upper((3, ram_upper((3, 3))))
+
+
+@lru_cache(maxsize=None)
+def recurrence(l, m):
+    """R(l, m) <= R(l-1, m) + R(l, m-1) and its base rows, as a reference."""
+    if l == 1 or m == 1:
+        return 1
+    if l == 2:
+        return m
+    if m == 2:
+        return l
+    return recurrence(l - 1, m) + recurrence(l, m - 1)
+
+
+def test_ram_upper_matches_the_recurrence():
+    for l in range(1, 13):
+        for m in range(1, 13):
+            assert ram_upper((l, m)) == recurrence(l, m)
+
+
+def test_ram_upper_refuses_a_bound_too_large_to_print():
+    # 15 threes give a 4,227-digit bound; 16 would give 8,453 digits
+    assert len(str(ram_upper((3,) * 15))) == 4227
+    with pytest.raises(InvalidQuery, match="would exceed"):
+        ram_upper((3,) * 16)
+    # wide but shallow rows stay exact
+    assert ram_upper((2, 10**4000)) == 10**4000
+    assert ram_upper((1, 10**5000)) == 1
 
 
 def test_ram_exact_values():
