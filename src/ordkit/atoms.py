@@ -86,11 +86,6 @@ def finset(elements: Iterable[Atom]) -> Atom:
     return Atom(FINSET, (els,), (FINSET, tuple(a._key for a in els)))
 
 
-def atom_key(atom: Atom) -> tuple:
-    """The total-order key; exposed for canonical sorting of containers."""
-    return atom._key
-
-
 def atom_to_json(atom: Atom):
     if atom.shape == LEAF:
         return atom.data[0]

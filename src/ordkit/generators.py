@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .atoms import Atom, leaf
 from .orders import QuasiOrder, Simulation, _closure
-from .systems import SetSystem, _system
+from .systems import SetSystem, _canonical
 from .traces import Trace, mk_trace
 
 DIGITS = tuple(leaf(str(i)) for i in range(10))
@@ -102,13 +102,8 @@ def quasi_orders_up_to_iso(n: int) -> list[QuasiOrder]:
 def all_systems(n: int) -> Iterator[SetSystem]:
     """Every family of subsets of a fixed n-element universe."""
     universe = nat_atoms(n)
-    subsets = [
-        tuple(a for i, a in enumerate(universe) if mask >> i & 1)
-        for mask in range(1 << n)
-    ]
-    for fam in range(1 << len(subsets)):
-        members = [subsets[i] for i in range(len(subsets)) if fam >> i & 1]
-        yield _system(universe, members)
+    for fam in range(1 << (1 << n)):
+        yield _canonical(universe, universe, [s for s in range(1 << n) if fam >> s & 1])
 
 
 def random_quasi_order(rng: random.Random, max_size: int) -> QuasiOrder:
@@ -126,11 +121,8 @@ def random_quasi_order(rng: random.Random, max_size: int) -> QuasiOrder:
 def random_system(rng: random.Random, universe_size: int, max_members: int) -> SetSystem:
     universe = nat_atoms(universe_size)
     count = rng.randint(0, max_members)
-    members = []
-    for _ in range(count):
-        mask = rng.randrange(1 << universe_size)
-        members.append(tuple(a for i, a in enumerate(universe) if mask >> i & 1))
-    return _system(universe, members)
+    members = [rng.randrange(1 << universe_size) for _ in range(count)]
+    return _canonical(universe, universe, members)
 
 
 def random_trace(

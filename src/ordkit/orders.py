@@ -22,7 +22,7 @@ from .errors import (
     UniverseTooLarge,
     UnknownElement,
 )
-from .systems import SetSystem, _system
+from .systems import SetSystem, _canonical
 
 SS_ELEMENT_BOUND = 20
 LINEARIZATION_BOUND = 8
@@ -190,8 +190,8 @@ def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
             bits ^= b
             closure |= qo.up[b.bit_length() - 1]
         if closure | u == u:
-            members.append([a for i, a in enumerate(qo.elements) if u >> i & 1])
-    return _system(qo.elements, members)
+            members.append(u)
+    return _canonical(tuple(sorted(qo.elements)), qo.elements, members)
 
 
 def qo_of(system: SetSystem) -> QuasiOrder:
@@ -227,23 +227,19 @@ def is_coatomic_lattice(system: SetSystem) -> bool:
     with C to the top or sits below C; the family is coatomic when every
     nontop member lies below some coatom.
     """
-    members = system.member_sets
+    members = system.member_masks
     if not members:
         raise NotALattice("the family has no members")
     fam = set(members)
     for x, y in itertools.combinations(members, 2):
         if x | y not in fam or x & y not in fam:
             raise NotALattice("family is not closed under union/intersection")
-    top = frozenset().union(*members)
+    top = (1 << len(system.support)) - 1
     if top not in fam:
         raise NotALattice("family has no top element")
     nontop = [m for m in members if m != top]
-    coatoms = [
-        c
-        for c in nontop
-        if all((m | c == top) or (m <= c) for m in nontop)
-    ]
-    return all(any(m <= c for c in coatoms) for m in nontop)
+    coatoms = [c for c in nontop if all(m | c in (top, c) for m in nontop)]
+    return all(any(m | c == c for c in coatoms) for m in nontop)
 
 
 @dataclass(frozen=True)

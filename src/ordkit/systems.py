@@ -1,19 +1,20 @@
-"""Finite set systems: canonical families of subsets plus elementwise operations.
+"""Finite set systems: a universe, its sorted support, and one bitmask per member.
 
-A system is a finite universe together with a deduplicated family of
-subsets.  All operations are pure; every constructor returns the canonical
-form (sorted universe, members sorted in the subset order), so structurally
-equal inputs serialize to identical bytes.
+Bit ``i`` of a member mask stands for ``support[i]``; members are ordered
+lexicographically on their index lists (the order of their sorted atom
+tuples), so structurally equal inputs serialize to identical bytes.  One
+canonicaliser, ``_canonical``, builds every system; ``members``,
+``member_sets`` and ``family`` are views derived from the masks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, reduce
+from typing import Iterable, Sequence
 
-from .atoms import Atom, atom_from_json, atom_key, atom_to_json, finset, pair, tagged
+from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
     DuplicateUniverseElement,
     ElementOutsideUniverse,
@@ -21,21 +22,30 @@ from .errors import (
     InputError,
 )
 
-Member = tuple[Atom, ...]
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending: a member's index list."""
+    bits = []
+    while mask:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(bits)
 
 
-def _canon_member(atoms: Iterable[Atom]) -> Member:
-    return tuple(sorted(set(atoms)))
-
-
-def _member_key(member: Member) -> tuple:
-    return tuple(atom_key(a) for a in member)
+def _remap(mask: int, table) -> int:
+    """``mask`` with every set bit ``i`` replaced by the disjoint bits ``table[i]``."""
+    return sum(table[i] for i in _bits(mask))
 
 
 @dataclass(frozen=True)
 class SetSystem:
     universe: tuple[Atom, ...]
-    members: tuple[Member, ...]
+    support: tuple[Atom, ...]
+    member_masks: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> tuple[tuple[Atom, ...], ...]:
+        return tuple(tuple(self.support[i] for i in _bits(m)) for m in self.member_masks)
 
     @cached_property
     def member_sets(self) -> tuple[frozenset[Atom], ...]:
@@ -46,23 +56,9 @@ class SetSystem:
         """The family as a set of sets; universe-independent equality."""
         return frozenset(self.member_sets)
 
-    @cached_property
-    def support(self) -> tuple[Atom, ...]:
-        seen: set[Atom] = set()
-        for m in self.members:
-            seen.update(m)
-        return tuple(sorted(seen))
-
     def masks(self) -> tuple[tuple[Atom, ...], tuple[int, ...]]:
         """Members as bitmasks over the support, in canonical member order."""
-        index = {a: i for i, a in enumerate(self.support)}
-        out = []
-        for m in self.members:
-            bits = 0
-            for a in m:
-                bits |= 1 << index[a]
-            out.append(bits)
-        return self.support, tuple(out)
+        return self.support, self.member_masks
 
     def to_json(self):
         return {
@@ -75,30 +71,39 @@ class SetSystem:
         return f"SetSystem[{sets}]"
 
 
+def _canonical(universe: tuple, atoms: Sequence[Atom], masks: Iterable[int]) -> SetSystem:
+    """The system over the sorted ``universe`` whose members are ``masks`` over
+    the distinct ``atoms``: masks deduplicated and compacted to the bits in
+    use, support sorted, members ordered by index list."""
+    masks = set(masks)
+    order = sorted(_bits(reduce(int.__or__, masks, 0)), key=atoms.__getitem__)
+    if order != list(range(len(order))):
+        table = {i: 1 << k for k, i in enumerate(order)}
+        masks = [_remap(m, table) for m in masks]
+    return SetSystem(universe, tuple(atoms[i] for i in order), tuple(sorted(masks, key=_bits)))
+
+
 def _system(universe: Iterable[Atom], members: Iterable[Iterable[Atom]]) -> SetSystem:
-    """Canonicalize without validating membership (internal fast path)."""
-    canon = sorted({_canon_member(m) for m in members}, key=_member_key)
-    return SetSystem(tuple(sorted(set(universe))), tuple(canon))
+    """Canonicalize atom-level members, which must lie inside ``universe`` (unchecked)."""
+    atoms = tuple(sorted(set(universe)))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    return _canonical(atoms, atoms, [sum({bit[a] for a in m}) for m in members])
 
 
 def mk_system(
     universe: Iterable[Atom], members: Iterable[Iterable[Atom]]
 ) -> SetSystem:
     """Validate and canonicalize a system: sorted universe, deduplicated members."""
-    unis = list(universe)
     seen: set[Atom] = set()
-    for a in unis:
+    for a in universe:
         if a in seen:
             raise DuplicateUniverseElement(a)
         seen.add(a)
-    member_list = [_canon_member(m) for m in members]
+    member_list = [set(m) for m in members]
     for m in member_list:
-        for a in m:
-            if a not in seen:
-                raise ElementOutsideUniverse(a)
-    return SetSystem(
-        tuple(sorted(seen)), tuple(sorted(set(member_list), key=_member_key))
-    )
+        if not m <= seen:
+            raise ElementOutsideUniverse(min(m - seen))
+    return _system(seen, member_list)
 
 
 def system_from_json(obj, path: str = "$") -> SetSystem:
@@ -121,85 +126,96 @@ def system_from_json(obj, path: str = "$") -> SetSystem:
     return mk_system(universe, members)
 
 
+def _pairwise(op, lhs: SetSystem, rhs: SetSystem) -> SetSystem:
+    """``op`` on every pair of members, over lhs's support then rhs's new atoms."""
+    atoms, r_masks = lhs.support, rhs.member_masks
+    if rhs.support != atoms:
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+        for a in rhs.support:
+            bit.setdefault(a, 1 << len(bit))
+        atoms, table = list(bit), [bit[a] for a in rhs.support]
+        r_masks = [_remap(r, table) for r in r_masks]
+    members = [op(l, r) for l in lhs.member_masks for r in r_masks]
+    if lhs.universe == rhs.universe:
+        return _canonical(lhs.universe, atoms, members)
+    return _canonical(tuple(sorted(set(lhs.universe + rhs.universe))), atoms, members)
+
+
 def ew_union(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """All pairwise unions of members; universes merged."""
-    members = [l | r for l in lhs.member_sets for r in rhs.member_sets]
-    return _system(lhs.universe + rhs.universe, members)
+    return _pairwise(int.__or__, lhs, rhs)
 
 
 def ew_intersect(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """All pairwise intersections of members; universes merged."""
-    members = [l & r for l in lhs.member_sets for r in rhs.member_sets]
-    return _system(lhs.universe + rhs.universe, members)
+    return _pairwise(int.__and__, lhs, rhs)
 
 
 def ew_product(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
-    """All pairwise cartesian products, over the pair atoms of the supports."""
-    universe = [pair(x, y) for x in lhs.support for y in rhs.support]
-    members = [
-        frozenset(pair(x, y) for x in l for y in r)
-        for l in lhs.member_sets
-        for r in rhs.member_sets
-    ]
-    return _system(universe, members)
+    """All pairwise cartesian products, over the pair atoms of the supports.
+
+    Pair ``(x_i, y_j)`` is bit ``i * len(rhs.support) + j``, already atom order."""
+    width = len(rhs.support)
+    atoms = tuple(pair(x, y) for x in lhs.support for y in rhs.support)
+    members = []
+    for r in rhs.member_masks:
+        table = [r << (i * width) for i in range(len(lhs.support))]
+        members += [_remap(l, table) for l in lhs.member_masks]
+    return _canonical(atoms, atoms, members)
 
 
-def _tagged_universe(systems: tuple[SetSystem, ...]) -> list[Atom]:
-    return [
-        tagged(a, j + 1) for j, s in enumerate(systems) for a in s.support
-    ]
+def _tagged_space(systems: tuple[SetSystem, ...]) -> tuple[list[Atom], list[int]]:
+    """The tagged supports, operand ``j`` as the block of bits from ``offsets[j]``."""
+    atoms = [tagged(a, j + 1) for j, s in enumerate(systems) for a in s.support]
+    return atoms, list(itertools.accumulate((len(s.support) for s in systems), initial=0))
 
 
 def ew_disjoint(*systems: SetSystem) -> SetSystem:
     """Tagged elementwise disjoint union: one member per choice tuple."""
     if not systems:
         raise EmptyOperandList("disjoint union needs at least one operand")
-    members = []
-    for combo in itertools.product(*(s.member_sets for s in systems)):
-        members.append(
-            frozenset(tagged(a, j + 1) for j, part in enumerate(combo) for a in part)
-        )
-    return _system(_tagged_universe(systems), members)
+    atoms, offsets = _tagged_space(systems)
+    members = [
+        sum(m << off for m, off in zip(combo, offsets))
+        for combo in itertools.product(*(s.member_masks for s in systems))
+    ]
+    return _canonical(tuple(sorted(atoms)), atoms, members)
 
 
 def tagged_union(*systems: SetSystem) -> SetSystem:
     """Coproduct carrier: every member of every operand, tagged by its slot."""
     if not systems:
         raise EmptyOperandList("tagged union needs at least one operand")
-    members = [
-        frozenset(tagged(a, j + 1) for a in m)
-        for j, s in enumerate(systems)
-        for m in s.member_sets
-    ]
-    return _system(_tagged_universe(systems), members)
+    atoms, offsets = _tagged_space(systems)
+    members = [m << off for s, off in zip(systems, offsets) for m in s.member_masks]
+    return _canonical(tuple(sorted(atoms)), atoms, members)
 
 
 def bang(system: SetSystem) -> SetSystem:
     """Each member M becomes the family of all subsets of M, as finset atoms.
 
-    The universe is every finset over the support, so it grows as 2**|support|.
+    The universe is every finset over the support, so it grows as
+    2**|support|; bit ``s`` is the finset of the support bits of ``s``.
     """
     support = system.support
-    universe = [finset(c) for r in range(len(support) + 1)
-                for c in itertools.combinations(support, r)]
+    atoms = [finset(support[i] for i in _bits(s)) for s in range(1 << len(support))]
     members = []
-    for m in system.members:
-        members.append(
-            frozenset(
-                finset(c) for r in range(len(m) + 1)
-                for c in itertools.combinations(m, r)
-            )
-        )
-    return _system(universe, members)
+    for m in system.member_masks:
+        down, s = 1, m  # bit 0 is the empty submask; the loop adds the others
+        while s:
+            down, s = down | 1 << s, (s - 1) & m
+        members.append(down)
+    return _canonical(tuple(sorted(atoms)), atoms, members)
 
 
 def perp(system: SetSystem) -> SetSystem:
     """Fibers system: one member per support element, listing the members containing it.
 
-    The universe is the nonempty members of the input, encoded as finset atoms.
+    The universe is the nonempty members of the input, encoded as finset
+    atoms; in canonical member order these are already sorted.
     """
-    universe = [finset(m) for m in system.members if m]
-    members = [
-        frozenset(finset(m) for m in system.members if x in m) for x in system.support
-    ]
-    return _system(universe, members)
+    masks = [m for m in system.member_masks if m]
+    atoms = tuple(finset(m) for m in system.members if m)
+    members = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1)
+               for i in range(len(system.support))]
+    return _canonical(atoms, atoms, members)

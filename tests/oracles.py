@@ -20,6 +20,15 @@ def system(universe_size: int, *sets: tuple) -> SetSystem:
     return mk_system(u, [tuple(u[i] for i in s) for s in sets])
 
 
+def canonical_reference(universe, members) -> tuple[tuple, tuple, tuple]:
+    """The atom-key canonical form: sorted universe, sorted support, and the
+    distinct members as sorted atom tuples, ordered by their atom keys."""
+    canon = {tuple(sorted(set(m))) for m in members}
+    ordered = sorted(canon, key=lambda m: tuple(a._key for a in m))
+    support = sorted(set().union(*canon))
+    return tuple(sorted(set(universe))), tuple(support), tuple(ordered)
+
+
 def naive_dim(sys: SetSystem) -> int:
     """Longest production sequence by explicit full-tree enumeration."""
     members = list(sys.member_sets)
