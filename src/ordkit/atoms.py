@@ -118,6 +118,7 @@ def atom_from_json(obj, path: str = "$") -> Atom:
             not isinstance(body, list)
             or len(body) != 2
             or not isinstance(body[1], int)
+            or isinstance(body[1], bool)
             or body[1] < 0
         ):
             raise InputError(f"{path}.tag: expected [atom, nonnegative int]")

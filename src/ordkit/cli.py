@@ -54,8 +54,14 @@ def _load(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise OrdkitError(f"{path}: no such file")
+    except OSError as exc:
+        raise OrdkitError(f"{path}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise OrdkitError(f"{path}: not UTF-8 text (byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise OrdkitError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise OrdkitError(f"{path}: JSON nested too deeply to parse")
 
 
 def _emit(ctx, payload, human: str):

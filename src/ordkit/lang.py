@@ -65,12 +65,16 @@ def mk_fragment(
 def fragment_from_json(obj, path: str = "$") -> LanguageFragment:
     if not isinstance(obj, dict) or not {"alphabet", "max_len", "words"} <= set(obj):
         raise InputError(f"{path}: expected alphabet/max_len/words")
-    if not isinstance(obj["max_len"], int) or obj["max_len"] < 0:
+    max_len = obj["max_len"]
+    if not isinstance(max_len, int) or isinstance(max_len, bool) or max_len < 0:
         raise InputError(f"{path}.max_len: expected a nonnegative integer")
+    for key in ("alphabet", "words"):
+        if not isinstance(obj[key], list) or not all(isinstance(t, str) for t in obj[key]):
+            raise InputError(f"{path}.{key}: expected a list of strings")
     try:
         return mk_fragment(
             obj["alphabet"],
-            obj["max_len"],
+            max_len,
             obj["words"],
             bool(obj.get("exact_up_to", True)),
         )

@@ -84,6 +84,9 @@ def trace_from_json(obj, path: str = "$") -> Trace:
         raise InputError(
             f"{path}: expected an object with source_field/target_field/pairs"
         )
+    for key in ("source_field", "target_field", "pairs"):
+        if not isinstance(obj[key], list):
+            raise InputError(f"{path}.{key}: expected a list")
     src = [
         atom_from_json(a, f"{path}.source_field[{i}]")
         for i, a in enumerate(obj["source_field"])
@@ -97,6 +100,8 @@ def trace_from_json(obj, path: str = "$") -> Trace:
         if not isinstance(entry, dict) or "x" not in entry or "v" not in entry:
             raise InputError(f"{path}.pairs[{i}]: expected an object with x and v")
         x = atom_from_json(entry["x"], f"{path}.pairs[{i}].x")
+        if not isinstance(entry["v"], list):
+            raise InputError(f"{path}.pairs[{i}].v: expected a list of atoms")
         v = [
             atom_from_json(a, f"{path}.pairs[{i}].v[{j}]")
             for j, a in enumerate(entry["v"])

@@ -63,3 +63,5 @@ def test_bad_json_reports_path():
         atom_from_json({"mystery": []})
     with pytest.raises(InputError):
         atom_from_json(12)
+    with pytest.raises(InputError):
+        atom_from_json({"tag": ["a", True]})
