@@ -20,7 +20,12 @@ from .errors import (
     ElementOutsideUniverse,
     EmptyOperandList,
     InputError,
+    UniverseTooLarge,
 )
+
+# bang's universe has 2**|support| finset atoms; the bound matches dim's
+# default --max-universe
+BANG_SUPPORT_BOUND = 16
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -195,9 +200,12 @@ def bang(system: SetSystem) -> SetSystem:
     """Each member M becomes the family of all subsets of M, as finset atoms.
 
     The universe is every finset over the support, so it grows as
-    2**|support|; bit ``s`` is the finset of the support bits of ``s``.
+    2**|support|; bit ``s`` is the finset of the support bits of ``s``.  A
+    support over ``BANG_SUPPORT_BOUND`` is refused before anything is built.
     """
     support = system.support
+    if len(support) > BANG_SUPPORT_BOUND:
+        raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND)
     atoms = [finset(support[i] for i in _bits(s)) for s in range(1 << len(support))]
     members = []
     for m in system.member_masks:

@@ -22,9 +22,10 @@ from ordkit.errors import (
     DuplicateUniverseElement,
     ElementOutsideUniverse,
     EmptyOperandList,
+    UniverseTooLarge,
 )
 from ordkit.generators import random_system
-from ordkit.systems import system_from_json
+from ordkit.systems import BANG_SUPPORT_BOUND, system_from_json
 
 from .oracles import nats, system
 
@@ -166,6 +167,13 @@ def test_bang_examples():
         sorted(bang(b).member_sets, key=len), sorted(b.member_sets, key=len)
     ):
         assert len(member) == 2 ** len(source)
+
+
+def test_bang_refuses_a_support_over_budget():
+    u = nats(BANG_SUPPORT_BOUND + 1)
+    singletons = mk_system(u, [(a,) for a in u])
+    with pytest.raises(UniverseTooLarge, match="17 elements, limit is 16"):
+        bang(singletons)
 
 
 def test_perp_examples():
