@@ -157,8 +157,8 @@ def dim_cmd(ctx, system_file, witness, max_universe):
 @_wrap
 def otp_cmd(ctx, qo_file):
     """Order type of the quasi-order in QO_FILE."""
-    qo = qo_from_json(_load(qo_file), strict=ctx.obj["strict"])
-    _emit(ctx, {"otp": otp(qo)}, str(otp(qo)))
+    value = otp(qo_from_json(_load(qo_file), strict=ctx.obj["strict"]))
+    _emit(ctx, {"otp": value}, str(value))
 
 
 @main.command("ss")
@@ -242,7 +242,8 @@ def trace_cmd(ctx, kind, files):
             raise InvalidQuery("trace compose takes OUTER_FILE INNER_FILE")
         outer = trace_from_json(_load(files[0]), path=files[0])
         inner = trace_from_json(_load(files[1]), path=files[1])
-        _emit(ctx, compose(outer, inner).to_json(), repr(compose(outer, inner)))
+        result = compose(outer, inner)
+        _emit(ctx, result.to_json(), repr(result))
     else:
         if len(files) != 1:
             raise InvalidQuery("trace classify takes TRACE_FILE")
@@ -269,7 +270,8 @@ def trace_cmd(ctx, kind, files):
 def ramsey_cmd(ctx, kind, numbers):
     """Ramsey bounds, table lookups, and exhaustive verification."""
     if kind == "bound":
-        _emit(ctx, {"upper": ram_upper(numbers)}, str(ram_upper(numbers)))
+        value = ram_upper(numbers)
+        _emit(ctx, {"upper": value}, str(value))
     elif kind == "exact":
         value = ram_exact(numbers)
         _emit(ctx, {"exact": value}, "unknown" if value is None else str(value))

@@ -137,11 +137,17 @@ def ram_verify(l1: int, l2: int, n: int) -> RamseyVerification:
     return RamseyVerification(False, witness)
 
 
-def _gate(sizes) -> tuple[int, str]:
-    """Exact verified value when available, else the recurrence bound."""
+def _gate(sizes, detail: dict) -> tuple[int, str]:
+    """Exact verified value when available, else the recurrence bound.
+
+    An unverified literature value is only recorded, as
+    ``detail["literature_value"]``.
+    """
     entry = ram_exact_entry(sizes)
     if entry is not None and entry[1] in ("trivial", "oracle"):
         return entry[0], "exact"
+    if entry is not None and entry[1] == "literature":
+        detail["literature_value"] = entry[0]
     return ram_upper(sizes), "upper-bound"
 
 
@@ -175,11 +181,8 @@ def check_union_bound(*systems: SetSystem) -> BoundReport:
         union = ew_union(union, s)
     lhs = dim(union) + 1
     sizes = tuple(d + 2 for d in dims)
-    rhs, kind = _gate(sizes)
     detail = {"dims": dims, "union_dim": lhs - 1, "ramsey_args": list(sizes)}
-    lit = ram_exact_entry(sizes)
-    if lit is not None and lit[1] == "literature":
-        detail["literature_value"] = lit[0]
+    rhs, kind = _gate(sizes, detail)
     return BoundReport("dim(union)+1 < Ram(dims+2)", lhs, rhs, kind, lhs < rhs, detail)
 
 
@@ -230,10 +233,7 @@ def check_image_bound(
             detail,
         )
     sizes = tuple([d_sys + 2] * n)
-    rhs, kind = _gate(sizes)
-    lit = ram_exact_entry(sizes)
-    if lit is not None and lit[1] == "literature":
-        detail["literature_value"] = lit[0]
+    rhs, kind = _gate(sizes, detail)
     return BoundReport(
         "dim(image)+1 < Ram(dim(system)+2; branching)",
         d_img + 1,
@@ -250,11 +250,8 @@ def check_wqo_intersection_bound(a: QuasiOrder, b: QuasiOrder) -> BoundReport:
         raise CarrierMismatch("quasi-orders must share one carrier")
     lhs = otp(intersect_qo(a, b))
     sizes = (otp(a) + 1, otp(b) + 1)
-    rhs, kind = _gate(sizes)
     detail = {"otp_a": sizes[0] - 1, "otp_b": sizes[1] - 1}
-    lit = ram_exact_entry(sizes)
-    if lit is not None and lit[1] == "literature":
-        detail["literature_value"] = lit[0]
+    rhs, kind = _gate(sizes, detail)
     return BoundReport(
         "otp(a ∩ b) < Ram(otp(a)+1, otp(b)+1)", lhs, rhs, kind, lhs < rhs, detail
     )

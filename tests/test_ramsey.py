@@ -162,6 +162,28 @@ def test_check_wqo_intersection_fixtures():
         check_wqo_intersection_bound(le0, mk_qo(nats(2)))
 
 
+def test_bound_report_details():
+    """The gate fills ``literature_value`` only for an ungated table row."""
+    l = system(3, (), (0,), (0, 1, 2))
+    m = system(3, (), (1,), (0, 1, 2))
+    assert check_union_bound(l, m).detail == {
+        "dims": [2, 2], "union_dim": 3, "ramsey_args": [4, 4], "literature_value": 18
+    }
+    a, b = system(2, (0,)), system(2, (1,))
+    report = check_image_bound(discoloration_trace(2, nats(2)), ew_disjoint(a, b))
+    assert (report.rhs, report.rhs_kind) == (6, "exact")
+    assert report.detail == {
+        "branching": 2, "image_dim": 1, "system_dim": 1, "empty_option_sets": False
+    }
+    for k, rhs, kind, extra in ((2, 6, "exact", {}), (3, 20, "upper-bound", {"literature_value": 18})):
+        u = nats(k)
+        chain = mk_qo(u, [(u[i], u[i + 1]) for i in range(k - 1)])
+        rev = mk_qo(u, [(u[i + 1], u[i]) for i in range(k - 1)])
+        report = check_wqo_intersection_bound(chain, rev)
+        assert (report.rhs, report.rhs_kind) == (rhs, kind)
+        assert report.detail == {"otp_a": k, "otp_b": k, **extra}
+
+
 def test_invalid_queries():
     with pytest.raises(InvalidQuery):
         ram_upper(())
