@@ -118,7 +118,9 @@ def test_check_union_bound_fixtures():
     assert report.holds
     assert report.lhs == 4
     assert report.rhs_kind == "upper-bound"
-    assert report.detail["literature_value"] == 18
+    assert report.detail == {
+        "dims": [2, 2], "union_dim": 3, "ramsey_args": [4, 4], "literature_value": 18
+    }
 
     single = check_union_bound(l)
     assert single.holds and single.rhs == dim(l) + 2
@@ -137,8 +139,14 @@ def test_check_image_bound_fixtures():
     dis = ew_disjoint(a, b)
     base = sorted(set(a.support) | set(b.support))
     report = check_image_bound(discoloration_trace(2, base), dis)
-    assert report.detail["branching"] == 2
-    assert report.holds
+    assert report.detail == {
+        "branching": 2, "image_dim": 1, "system_dim": 2,
+        "empty_option_sets": False, "literature_value": 18,
+    }
+    assert report.holds and report.rhs_kind == "upper-bound"
+    report = check_image_bound(discoloration_trace(2, base), ew_disjoint(b, b))
+    assert (report.rhs, report.rhs_kind) == (6, "exact")
+    assert "literature_value" not in report.detail
     with pytest.raises(InvalidQuery):
         check_image_bound(ident, system(3, (0,)), xi={})
 
@@ -151,6 +159,8 @@ def test_check_wqo_intersection_fixtures():
         report = check_wqo_intersection_bound(chain, rev)
         assert report.holds
         assert report.lhs == otp(intersect_qo(chain, rev)) == k
+        literature = {"literature_value": 18} if k == 3 else {}
+        assert report.detail == {"otp_a": k, "otp_b": k, **literature}
     u = nats(3)
     le0 = mk_qo(u, [(u[1], u[2]), (u[2], u[1]), (u[1], u[0]), (u[2], u[0])])
     le1 = mk_qo(u, [(u[0], u[2]), (u[2], u[0]), (u[0], u[1]), (u[2], u[1])])
@@ -160,28 +170,6 @@ def test_check_wqo_intersection_fixtures():
     assert report.holds and report.lhs == otp(le0)
     with pytest.raises(CarrierMismatch):
         check_wqo_intersection_bound(le0, mk_qo(nats(2)))
-
-
-def test_bound_report_details():
-    """The gate fills ``literature_value`` only for an ungated table row."""
-    l = system(3, (), (0,), (0, 1, 2))
-    m = system(3, (), (1,), (0, 1, 2))
-    assert check_union_bound(l, m).detail == {
-        "dims": [2, 2], "union_dim": 3, "ramsey_args": [4, 4], "literature_value": 18
-    }
-    a, b = system(2, (0,)), system(2, (1,))
-    report = check_image_bound(discoloration_trace(2, nats(2)), ew_disjoint(a, b))
-    assert (report.rhs, report.rhs_kind) == (6, "exact")
-    assert report.detail == {
-        "branching": 2, "image_dim": 1, "system_dim": 1, "empty_option_sets": False
-    }
-    for k, rhs, kind, extra in ((2, 6, "exact", {}), (3, 20, "upper-bound", {"literature_value": 18})):
-        u = nats(k)
-        chain = mk_qo(u, [(u[i], u[i + 1]) for i in range(k - 1)])
-        rev = mk_qo(u, [(u[i + 1], u[i]) for i in range(k - 1)])
-        report = check_wqo_intersection_bound(chain, rev)
-        assert (report.rhs, report.rhs_kind) == (rhs, kind)
-        assert report.detail == {"otp_a": k, "otp_b": k, **extra}
 
 
 def test_invalid_queries():
