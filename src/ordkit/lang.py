@@ -21,11 +21,16 @@ from .errors import (
     HorizonRequired,
     InputError,
     InvalidQuery,
+    UniverseTooLarge,
     UnknownFamily,
 )
 from .systems import SetSystem, mk_system
 
 Word = str
+
+# closure_bounded refuses a candidate space sum_{k<=max_len} s**k (s distinct
+# letters) above this; {a, b} up to length 12 (8,191 words) still fits
+LANG_WORD_BOUND = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -154,13 +159,25 @@ def closure_bounded(
     """Iterated concatenation or shuffle of the fragment's words, cut at max_len.
 
     The fragment's word set is treated as the whole language being closed,
-    so the result is exact up to the bound by construction.
+    so the result is exact up to the bound by construction.  It is refused
+    with ``UniverseTooLarge`` before anything is built when the words up to
+    ``max_len`` over the letters of the base words number more than
+    ``LANG_WORD_BOUND``.
     """
     if kind not in _CLOSURE_KINDS:
         raise InvalidQuery(f"unknown closure kind {kind!r}")
     if max_len < 0:
         raise InvalidQuery(f"max_len must be at least 0, got {max_len}")
     base = {w for w in fragment.words if len(w) <= max_len}
+    letters = len(set().union(*base))
+    count, term = 0, 1
+    for _ in range(max_len + 1):
+        count += term
+        if count > LANG_WORD_BOUND:
+            raise UniverseTooLarge(f"at least {count}", LANG_WORD_BOUND)
+        term *= letters
+        if not term:
+            break
     shuffle = kind in ("shuffle_diamond", "shuffle_closure")
     closed = set(base)
     frontier = set(base)

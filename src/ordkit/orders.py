@@ -120,10 +120,13 @@ def qo_from_json(obj, path: str = "$", strict: bool = False) -> QuasiOrder:
         raise InputError(f"{path}: expected an object with 'elements' and 'le'")
     if not isinstance(obj["elements"], list) or not isinstance(obj["le"], list):
         raise InputError(f"{path}: 'elements' and 'le' must be lists")
-    elems = [
-        atom_from_json(a, f"{path}.elements[{i}]")
-        for i, a in enumerate(obj["elements"])
-    ]
+    elems: dict[Atom, int] = {}  # element -> its first index
+    for i, a in enumerate(obj["elements"]):
+        atom = atom_from_json(a, f"{path}.elements[{i}]")
+        if elems.setdefault(atom, i) != i:
+            raise InputError(
+                f"{path}.elements[{i}]: {atom!r} repeats {path}.elements[{elems[atom]}]"
+            )
     rel = []
     for i, p in enumerate(obj["le"]):
         if not isinstance(p, list) or len(p) != 2:
@@ -195,20 +198,29 @@ def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
 
 
 def qo_of(system: SetSystem) -> QuasiOrder:
-    """x below y iff every member containing x contains y."""
-    elems = tuple(sorted(set(system.universe) | set(system.support)))
-    memberships = []
-    for a in elems:
-        bits = 0
-        for k, m in enumerate(system.member_sets):
-            if a in m:
-                bits |= 1 << k
-        memberships.append(bits)
+    """x below y iff every member containing x contains y.
+
+    Element x's column has bit k set iff member k contains x; an element of
+    the universe outside the support lies in no member, so its column is 0.
+    """
+    support, masks = system.support, system.member_masks
+    columns = []
+    for i in range(len(support)):
+        col = 0
+        for k, m in enumerate(masks):
+            if m >> i & 1:
+                col |= 1 << k
+        columns.append(col)
+    elems = support
+    if support != system.universe:
+        elems = tuple(sorted(set(system.universe) | set(support)))
+        column = dict(zip(support, columns))
+        columns = [column.get(a, 0) for a in elems]
     up = []
-    for i in range(len(elems)):
+    for x in columns:
         row = 0
-        for j in range(len(elems)):
-            if memberships[i] & ~memberships[j] == 0:
+        for j, y in enumerate(columns):
+            if x & y == x:
                 row |= 1 << j
         up.append(row)
     return QuasiOrder(elems, tuple(up))
@@ -217,7 +229,7 @@ def qo_of(system: SetSystem) -> QuasiOrder:
 def intersect_qo(a: QuasiOrder, b: QuasiOrder) -> QuasiOrder:
     if a.elements != b.elements:
         raise CarrierMismatch("quasi-orders must share one carrier")
-    return QuasiOrder(a.elements, tuple(x & y for x, y in zip(a.up, b.up)))
+    return QuasiOrder(a.elements, tuple(map(int.__and__, a.up, b.up)))
 
 
 def is_coatomic_lattice(system: SetSystem) -> bool:

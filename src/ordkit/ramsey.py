@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from . import kernels
@@ -26,15 +27,19 @@ VERIFY_VERTEX_BOUND = 7
 UPPER_BOUND_BITS = 14_283
 
 
+def _validate(sizes: tuple[int, ...]) -> None:
+    if not sizes:
+        raise InvalidQuery("at least one clique size is required")
+    if any(l < 1 for l in sizes):
+        raise InvalidQuery("clique sizes must be positive")
+
+
 @dataclass(frozen=True)
 class RamseyQuery:
     clique_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.clique_sizes:
-            raise InvalidQuery("at least one clique size is required")
-        if any(l < 1 for l in self.clique_sizes):
-            raise InvalidQuery("clique sizes must be positive")
+        _validate(self.clique_sizes)
 
     @property
     def colors(self) -> int:
@@ -64,8 +69,10 @@ def ram_upper(sizes) -> int:
     A bound that could exceed ``UPPER_BOUND_BITS`` bits is refused before it
     is computed.
     """
-    q = _query(sizes)
-    ls = q.clique_sizes
+    return _upper(_query(sizes).clique_sizes)
+
+
+def _upper(ls: tuple[int, ...]) -> int:
     if len(ls) == 1:
         return ls[0]
     bound = ls[-1]
@@ -93,8 +100,10 @@ _EXACT_MULTI: dict[tuple[int, ...], tuple[int, str]] = {
 
 def ram_exact_entry(sizes) -> Optional[tuple[int, str]]:
     """Exact value plus its source tag, when the table covers the query."""
-    q = _query(sizes)
-    ls = tuple(sorted(q.clique_sizes))
+    return _exact_entry(tuple(sorted(_query(sizes).clique_sizes)))
+
+
+def _exact_entry(ls: tuple[int, ...]) -> Optional[tuple[int, str]]:
     if len(ls) == 1:
         return ls[0], "trivial"
     if ls[0] == 1:
@@ -104,7 +113,7 @@ def ram_exact_entry(sizes) -> Optional[tuple[int, str]]:
             return ls[1], "trivial"
         return _EXACT_TWO_COLOR.get(ls)
     if ls[0] == 2:
-        return ram_exact_entry(ls[1:])
+        return _exact_entry(ls[1:])
     return _EXACT_MULTI.get(ls)
 
 
@@ -137,18 +146,31 @@ def ram_verify(l1: int, l2: int, n: int) -> RamseyVerification:
     return RamseyVerification(False, witness)
 
 
+@lru_cache(maxsize=1 << 10)
+def _gate_entry(sizes: tuple[int, ...]) -> tuple[int, str, Optional[int]]:
+    """``(rhs, kind, literature value or None)`` for the clique sizes as given.
+
+    Keyed on the unsorted tuple, since the nested bound depends on the
+    order of three or more sizes; a refused tuple raises again on every
+    call, because ``lru_cache`` does not cache exceptions.
+    """
+    _validate(sizes)
+    entry = _exact_entry(tuple(sorted(sizes)))
+    if entry is not None and entry[1] in ("trivial", "oracle"):
+        return entry[0], "exact", None
+    return _upper(sizes), "upper-bound", entry[0] if entry is not None else None
+
+
 def _gate(sizes, detail: dict) -> tuple[int, str]:
     """Exact verified value when available, else the recurrence bound.
 
     An unverified literature value is only recorded, as
     ``detail["literature_value"]``.
     """
-    entry = ram_exact_entry(sizes)
-    if entry is not None and entry[1] in ("trivial", "oracle"):
-        return entry[0], "exact"
-    if entry is not None and entry[1] == "literature":
-        detail["literature_value"] = entry[0]
-    return ram_upper(sizes), "upper-bound"
+    rhs, kind, literature = _gate_entry(tuple(sizes))
+    if literature is not None:
+        detail["literature_value"] = literature
+    return rhs, kind
 
 
 @dataclass(frozen=True)

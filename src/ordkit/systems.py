@@ -37,6 +37,16 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def _index_order(mask: int) -> str:
+    """A sort key giving masks the lexicographic order of their index lists.
+
+    Bit ``i`` becomes character ``i``: "1" for a present index, "2" for an
+    absent one below the highest; a proper prefix sorts first, as a shorter
+    index list with the same start does.
+    """
+    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
+
+
 def _remap(mask: int, table) -> int:
     """``mask`` with every set bit ``i`` replaced by the disjoint bits ``table[i]``."""
     return sum(table[i] for i in _bits(mask))
@@ -85,7 +95,7 @@ def _canonical(universe: tuple, atoms: Sequence[Atom], masks: Iterable[int]) -> 
     if order != list(range(len(order))):
         table = {i: 1 << k for k, i in enumerate(order)}
         masks = [_remap(m, table) for m in masks]
-    return SetSystem(universe, tuple(atoms[i] for i in order), tuple(sorted(masks, key=_bits)))
+    return SetSystem(universe, tuple(atoms[i] for i in order), tuple(sorted(masks, key=_index_order)))
 
 
 def _system(universe: Iterable[Atom], members: Iterable[Iterable[Atom]]) -> SetSystem:

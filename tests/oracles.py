@@ -29,6 +29,26 @@ def canonical_reference(universe, members) -> tuple[tuple, tuple, tuple]:
     return tuple(sorted(set(universe))), tuple(support), tuple(ordered)
 
 
+def qo_of_reference(system: SetSystem) -> QuasiOrder:
+    """The induced quasi-order, scanning every member for every element."""
+    elems = tuple(sorted(set(system.universe) | set(system.support)))
+    memberships = []
+    for a in elems:
+        bits = 0
+        for k, m in enumerate(system.member_sets):
+            if a in m:
+                bits |= 1 << k
+        memberships.append(bits)
+    up = []
+    for i in range(len(elems)):
+        row = 0
+        for j in range(len(elems)):
+            if memberships[i] & ~memberships[j] == 0:
+                row |= 1 << j
+        up.append(row)
+    return QuasiOrder(elems, tuple(up))
+
+
 def naive_dim(sys: SetSystem) -> int:
     """Longest production sequence by explicit full-tree enumeration."""
     members = list(sys.member_sets)

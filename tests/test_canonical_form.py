@@ -4,7 +4,8 @@ The ops build their results on member bitmasks; here each op is redone on
 atoms, the way the definitions read, and canonicalized by the atom-key
 reference in ``oracles``.  The inputs live over nested atoms (pairs, tags,
 words, finsets) listed in a shuffled order, so bit order and atom order
-differ before canonicalization.
+differ before canonicalization.  ``qo_of`` is checked the same way, against
+the atom-scan reference.
 """
 
 import random
@@ -23,14 +24,16 @@ from ordkit import (
     mk_system,
     pair,
     perp,
+    qo_of,
     ss,
     tagged,
     tagged_union,
     word,
 )
-from ordkit.generators import random_trace
+from ordkit.generators import all_systems, random_trace
+from ordkit.systems import _bits, _index_order
 
-from .oracles import canonical_reference, upper_sets
+from .oracles import canonical_reference, qo_of_reference, upper_sets
 
 TRIALS = 60
 
@@ -172,6 +175,28 @@ def test_ss_and_direct_image_match_the_reference():
         trace = random_trace(rng, source, a.universe)
         images = [{x for x, v in trace.pairs if v <= m} for m in sets(ra)]
         assert_matches(direct_image(trace, a), reference(source, images))
+
+
+def test_qo_of_matches_the_atom_scan():
+    for n in range(4):
+        for s in all_systems(n):
+            assert qo_of(s) == qo_of_reference(s)
+    rng = random.Random(8)
+    for _ in range(TRIALS):
+        universe, members = raw_system(rng, rng.randint(1, 6), 5)
+        narrow = mk_system(universe, [[a for a in m if a != universe[0]] for m in members])
+        assert len(narrow.support) < len(narrow.universe)
+        for s in (mk_system(universe, members), narrow):
+            assert qo_of(s) == qo_of_reference(s)
+        elements = rng.sample(POOL, rng.randint(1, 5))
+        qo = mk_qo(elements, [(rng.choice(elements), rng.choice(elements)) for _ in range(3)])
+        assert qo_of(ss(qo)) == qo_of_reference(ss(qo)) == qo
+
+
+def test_member_order_key_is_index_list_order():
+    rng = random.Random(9)
+    masks = list(range(1 << 9)) + [rng.getrandbits(rng.randint(1, 300)) for _ in range(500)]
+    assert sorted(masks, key=_index_order) == sorted(masks, key=_bits)
 
 
 def test_pool_order_differs_from_atom_order():

@@ -144,6 +144,13 @@ def test_negative_lang_bound_exits_2(runner, tmp_path):
     _bad_input_exit(runner.invoke(main, ["lang", "star", str(frag)]), str(frag))
 
 
+def test_lang_closure_over_budget_exits_2(runner, tmp_path):
+    frag = tmp_path / "frag.json"
+    frag.write_text(json.dumps({"alphabet": ["a"], "max_len": 1000000, "words": ["a"]}))
+    result = runner.invoke(main, ["lang", "star", str(frag)])
+    _bad_input_exit(result, "carrier has at least 8193 elements, limit is 8192")
+
+
 def test_lang_and_chain_commands(runner, tmp_path):
     frag = tmp_path / "frag.json"
     frag.write_text(
@@ -231,6 +238,9 @@ def test_malformed_input_exits_2(runner, tmp_path):
     notjson.write_text("{oops")
     assert runner.invoke(main, ["dim", str(notjson)]).exit_code == 2
     assert runner.invoke(main, ["dim", str(tmp_path / "missing.json")]).exit_code == 2
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"elements": ["0", {"pair": ["0", "1"]}, "0"], "le": []}))
+    _bad_input_exit(runner.invoke(main, ["otp", str(dup)]), "$.elements[2]: 0 repeats $.elements[0]")
     for argv, base, key, value, where in _MALFORMED:
         path = tmp_path / "input.json"
         path.write_text(json.dumps({**base, key: value}))

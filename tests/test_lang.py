@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,9 +26,10 @@ from ordkit.errors import (
     BoundMismatch,
     HorizonRequired,
     InvalidQuery,
+    UniverseTooLarge,
     UnknownFamily,
 )
-from ordkit.lang import ElasticityChain, all_words, fragment_from_json
+from ordkit.lang import LANG_WORD_BOUND, ElasticityChain, all_words, fragment_from_json
 
 from .oracles import shuffle_by_positions
 
@@ -93,6 +95,28 @@ def test_closure_fixtures():
         closure_bounded(mk_fragment("a", 1, ["a"]), "weird", 3)
     with pytest.raises(InvalidQuery):
         closure_bounded(mk_fragment("a", 1, ["a"]), "star", -1)
+
+
+def test_closure_refuses_a_word_space_over_budget_before_allocating():
+    ab = mk_fragment("ab", 1, ["a", "b"])
+    # sum_{k<=12} 2**k = 8,191 words fit the budget; one more length does not
+    assert len(closure_bounded(ab, "star", 12).words) == 8191 <= LANG_WORD_BOUND
+    with pytest.raises(UniverseTooLarge):
+        closure_bounded(ab, "star", 13)
+    # only letters of base words count, and without letters the space is one word
+    assert closure_bounded(mk_fragment("ab", 1, ["a"]), "plus", 100).words == {
+        "a" * k for k in range(1, 101)
+    }
+    assert closure_bounded(mk_fragment("a", 0, [""]), "star", 10**9).words == {""}
+    one_letter = mk_fragment("a", 1, ["a"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseTooLarge):
+            closure_bounded(one_letter, "shuffle_closure", 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_closure_monotone_and_idempotent():

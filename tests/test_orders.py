@@ -53,6 +53,8 @@ def test_mk_qo_closure_examples():
     u3 = nats(3)
     q = mk_qo(u3, [(u3[0], u3[1]), (u3[1], u3[2])])
     assert q.le(u3[0], u3[2])
+    # only the JSON boundary rejects repeated elements; mk_qo merges them
+    assert mk_qo(u3 + u3[:1], [(u3[0], u3[1])]) == mk_qo(u3, [(u3[0], u3[1])])
 
 
 def test_mk_qo_strict_mode():
@@ -189,6 +191,17 @@ def test_intersect_qo_examples():
     assert eq_order == mk_qo(u)
     with pytest.raises(CarrierMismatch):
         intersect_qo(c, chain(2))
+
+
+def test_intersect_qo_matches_pairwise_le():
+    rng = random.Random(12)
+    for _ in range(100):
+        u = nats(rng.randint(0, 6))
+        a, b = (mk_qo(u, [(x, y) for x in u for y in u if rng.random() < 0.3]) for _ in "ab")
+        meet = intersect_qo(a, b)
+        for x in u:
+            for y in u:
+                assert meet.le(x, y) == (a.le(x, y) and b.le(x, y))
 
 
 def test_coatomic_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from ordkit import (
     ram_upper,
     ram_verify,
 )
+from ordkit import ramsey
 from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded
 from ordkit.generators import random_system
 
@@ -177,3 +179,57 @@ def test_invalid_queries():
         ram_upper(())
     with pytest.raises(InvalidQuery):
         ram_upper((0, 3))
+
+
+def gate_reference(sizes):
+    """The gate through the public table and bound, as two separate lookups."""
+    detail = {}
+    entry = ram_exact_entry(sizes)
+    if entry is not None and entry[1] in ("trivial", "oracle"):
+        return (entry[0], "exact"), detail
+    if entry is not None:
+        detail["literature_value"] = entry[0]
+    return (ram_upper(sizes), "upper-bound"), detail
+
+
+def test_gate_matches_the_public_lookups_and_builds_no_query(monkeypatch):
+    ramsey._gate_entry.cache_clear()
+
+    def no_query(*args):
+        raise AssertionError("the gate built a RamseyQuery")
+
+    grid = [s for k in (1, 2, 3) for s in itertools.product(range(1, 6), repeat=k)]
+    expected = [gate_reference(s) for s in grid]
+    monkeypatch.setattr(ramsey, "RamseyQuery", no_query)
+    for _ in range(2):  # the second pass is served from the memo
+        for sizes, (want, want_detail) in zip(grid, expected):
+            detail = {}
+            assert ramsey._gate(sizes, detail) == want
+            assert detail == want_detail
+    assert ramsey._gate_entry.cache_info().hits >= len(grid)
+
+
+def test_gate_records_the_literature_value_on_a_cached_call():
+    ramsey._gate_entry.cache_clear()
+    for _ in range(2):
+        detail = {"otp_a": 3}
+        assert ramsey._gate((4, 4), detail) == (20, "upper-bound")
+        assert detail == {"otp_a": 3, "literature_value": 18}
+    info = ramsey._gate_entry.cache_info()
+    assert info.hits == 1 and info.maxsize == 1 << 10
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [((0, 3), "positive"), ((3,) * 16, "would exceed"), ((), "at least one")],
+)
+def test_gate_refuses_bad_sizes_on_every_call(sizes, message):
+    for _ in range(3):
+        with pytest.raises(InvalidQuery, match=message):
+            ramsey._gate(sizes, {})
+
+
+def test_gate_keys_on_the_given_order():
+    # the nested bound is not symmetric once there are three colours
+    assert ramsey._gate((3, 4, 5), {}) == (630, "upper-bound")
+    assert ramsey._gate((5, 4, 3), {}) == (715, "upper-bound")
