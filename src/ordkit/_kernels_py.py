@@ -11,7 +11,9 @@ reach them through ``ordkit.kernels``:
   members that still cover every example presented so far, itself a
   bitmask over member indices.
 * ``bad_sequence_rank`` -- rank of the tree of bad sequences of a finite
-  quasi-order, memoized on the forbidden upward closure.
+  quasi-order, memoized on the forbidden upward closure.  It explores up
+  to 2**n states and certifies ``orders.otp``, the equivalence-class
+  count, rather than computing it.
 * ``ramsey_search`` -- exhaustive two-coloring search with clique pruning
   and a color-swap symmetry cut on the first edge.
 
@@ -121,6 +123,8 @@ def bad_sequence_rank(up_masks: Sequence[int]) -> int:
 
     ``up_masks[i]`` is the bitmask of elements above element i (inclusive).
     State: the union of upward closures of the elements picked so far.
+    The value equals ``len(set(up_masks))``, which ``orders.otp`` returns;
+    this search is the certificate that ``repre`` checks it against.
     """
     n = len(up_masks)
     full = (1 << n) - 1

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import kernels
 from .atoms import leaf
 from .errors import InvalidQuery
 from .generators import (
@@ -121,7 +122,11 @@ def _eq14_pair() -> tuple[SetSystem, SetSystem]:
 
 
 def run_repre(seed: int = 42, trials: int = 500, max_size: Optional[int] = None) -> CheckReport:
-    """Order type of a quasi-order equals the dimension of its up-set system."""
+    """Order type of a quasi-order equals the dimension of its up-set system.
+
+    ``otp`` is the class count; each instance also certifies it against
+    the bad-sequence search, the definition of the order type.
+    """
     bound = 4 if max_size is None else max_size
     report = CheckReport(
         "repre",
@@ -130,21 +135,15 @@ def run_repre(seed: int = 42, trials: int = 500, max_size: Optional[int] = None)
         trials,
     )
     t0 = time.perf_counter()
-    count = 0
-    for n in range(bound + 1):
-        for qo in quasi_orders_up_to_iso(n):
-            count += 1
-            if otp(qo) != dim(ss(qo)):
-                _fail(report.failures, report.properties[0], qo.to_json(),
-                      otp=otp(qo), dim=dim(ss(qo)))
     rng = random.Random(seed)
-    for _ in range(trials):
-        qo = random_quasi_order(rng, 6)
-        count += 1
-        if otp(qo) != dim(ss(qo)):
+    instances = [qo for n in range(bound + 1) for qo in quasi_orders_up_to_iso(n)]
+    instances += [random_quasi_order(rng, 6) for _ in range(trials)]
+    for qo in instances:
+        value, search, d = otp(qo), kernels.bad_sequence_rank(qo.up), dim(ss(qo))
+        if not value == search == d:
             _fail(report.failures, report.properties[0], qo.to_json(),
-                  otp=otp(qo), dim=dim(ss(qo)))
-    report.info["instances"] = count
+                  otp=value, bad_sequence_rank=search, dim=d)
+    report.info["instances"] = len(instances)
     report.ms = (time.perf_counter() - t0) * 1000
     return report
 

@@ -1,9 +1,13 @@
-"""The search kernels behind ``dim``, ``otp`` and the Ramsey verifier.
+"""The search kernels behind ``dim``, the ``otp`` certificate and the Ramsey verifier.
 
 This module is the one entry point the rest of the package calls, always
 as ``kernels.<name>``, so a single rebinding here reroutes every caller.
 The kernels themselves live in ``_kernels_py``; ``BACKEND`` names the lane
 that runs them, which is pure Python.
+
+``bad_sequence_rank`` does not compute ``orders.otp``, which is the
+equivalence-class count; it is the definition that count is certified
+against, in the ``repre`` suite and the tests.
 """
 
 from __future__ import annotations

@@ -3,16 +3,25 @@
 The carrier is a canonically sorted atom tuple; the relation is stored as
 one bitmask row per element (``up[i]`` = everything above element i,
 inclusive).  All values are immutable and all operations pure.
+
+The order type of a quasi-order is the rank of its tree of bad sequences.
+On a finite quasi-order Q it is the number of equivalence classes,
+``otp(Q) = |Q/≡|``, the finite case of the maximal order type of de Jongh
+& Parikh, "Well-partial orderings and hierarchies", Indag. Math. 39
+(1977): a bad sequence never repeats a class, since equivalent elements
+lie below each other, and listing one element per class along a linear
+extension of the partial order of classes, from the top down, is bad.
+``otp`` is this class count; ``kernels.bad_sequence_rank`` computes the
+rank by search and is kept as its certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from . import kernels
 from .atoms import Atom, atom_from_json, atom_to_json, leaf
 from .errors import (
     CarrierMismatch,
@@ -158,14 +167,14 @@ def is_bad_sequence(qo: QuasiOrder, seq: Iterable[Atom]) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 14)
-def _otp_cached(up: tuple[int, ...]) -> int:
-    return kernels.bad_sequence_rank(up)
-
-
 def otp(qo: QuasiOrder) -> int:
-    """Order type: the rank of the tree of bad sequences."""
-    return _otp_cached(qo.up)
+    """Order type: the rank of the tree of bad sequences.
+
+    Equal to the number of equivalence classes ``|Q/≡|`` on a finite
+    quasi-order (de Jongh & Parikh 1977; see the module docstring), and
+    two elements are equivalent exactly when their up rows are equal.
+    """
+    return len(set(qo.up))
 
 
 def upset(atoms: Iterable[Atom], qo: QuasiOrder) -> tuple[Atom, ...]:

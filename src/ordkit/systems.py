@@ -10,6 +10,7 @@ canonicaliser, ``_canonical``, builds every system; ``members``,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
@@ -26,6 +27,9 @@ from .errors import (
 # bang's universe has 2**|support| finset atoms; the bound matches dim's
 # default --max-universe
 BANG_SUPPORT_BOUND = 16
+# ew_disjoint builds one member per choice tuple, the product of the
+# operands' member counts
+DISJOINT_MEMBER_BOUND = 1 << 16
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -186,9 +190,16 @@ def _tagged_space(systems: tuple[SetSystem, ...]) -> tuple[list[Atom], list[int]
 
 
 def ew_disjoint(*systems: SetSystem) -> SetSystem:
-    """Tagged elementwise disjoint union: one member per choice tuple."""
+    """Tagged elementwise disjoint union: one member per choice tuple.
+
+    More than ``DISJOINT_MEMBER_BOUND`` choice tuples are refused before
+    any is built.
+    """
     if not systems:
         raise EmptyOperandList("disjoint union needs at least one operand")
+    count = math.prod(len(s.member_masks) for s in systems)
+    if count > DISJOINT_MEMBER_BOUND:
+        raise UniverseTooLarge(count, DISJOINT_MEMBER_BOUND)
     atoms, offsets = _tagged_space(systems)
     members = [
         sum(m << off for m, off in zip(combo, offsets))

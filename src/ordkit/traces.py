@@ -11,6 +11,7 @@ up-set/quasi-order functor pair, and the finite category constructions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -24,11 +25,16 @@ from .errors import (
     InvalidArity,
     NotASimulation,
     NotLinear,
+    UniverseTooLarge,
 )
 from .orders import QuasiOrder, Simulation, is_simulation
 from .systems import SetSystem, _system
 
 TracePairs = frozenset[tuple[Atom, frozenset[Atom]]]
+
+# compose expands each outer pair into the product of its elements' inner
+# option counts; the sum of those products is the work it would do
+COMPOSE_OPTION_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -179,19 +185,28 @@ def compose(outer: Trace, inner: Trace) -> Trace:
     """The trace of the composite map: apply(compose(R,S), g) == apply(R, apply(S, g)).
 
     Option sets multiply out (one inner option per outer option element);
-    the result is canonicalized to keep the expansion in check.
+    the result is canonicalized to keep the expansion in check.  More than
+    ``COMPOSE_OPTION_BOUND`` option sets in all are refused before any is
+    built.
     """
     if outer.target_field != inner.source_field:
         raise FieldMismatch("outer target field must equal inner source field")
     inner_opts = inner.options
-    pairs = []
+    expansions = []
+    count = 0
     for x, v in outer.pairs:
-        ys = sorted(v)
-        pools = [inner_opts.get(y) for y in ys]
+        pools = [inner_opts.get(y) for y in sorted(v)]
         if any(p is None for p in pools):
             continue
-        for combo in itertools.product(*pools):
-            pairs.append((x, frozenset().union(*combo) if combo else frozenset()))
+        count += math.prod(map(len, pools))
+        if count > COMPOSE_OPTION_BOUND:
+            raise UniverseTooLarge(f"at least {count}", COMPOSE_OPTION_BOUND)
+        expansions.append((x, pools))
+    pairs = [
+        (x, frozenset().union(*combo))
+        for x, pools in expansions
+        for combo in itertools.product(*pools)
+    ]
     return canonicalize(Trace(outer.source_field, inner.target_field, frozenset(pairs)))
 
 

@@ -151,6 +151,38 @@ def test_lang_closure_over_budget_exits_2(runner, tmp_path):
     _bad_input_exit(result, "carrier has at least 8193 elements, limit is 8192")
 
 
+def test_otp_of_a_wide_antichain(runner, tmp_path):
+    qo_path = tmp_path / "antichain.json"
+    qo_path.write_text(json.dumps({"elements": [str(i) for i in range(40)], "le": []}))
+    result = runner.invoke(main, ["--json", "otp", str(qo_path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"otp": 40}
+
+
+def test_compose_over_budget_exits_2(runner, tmp_path):
+    mid = [str(i) for i in range(40)]
+    low = [f"{y}{side}" for y in mid for side in "ab"]
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps({
+        "source_field": mid, "target_field": mid,
+        "pairs": [{"x": x, "v": mid} for x in mid],
+    }))
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({
+        "source_field": mid, "target_field": low,
+        "pairs": [{"x": v[:-1], "v": [v]} for v in low],
+    }))
+    result = runner.invoke(main, ["trace", "compose", str(outer), str(inner)])
+    _bad_input_exit(result, f"carrier has at least {2**40} elements, limit is 65536")
+
+
+def test_disjoint_over_budget_exits_2(runner, tmp_path):
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"universe": ["0", "1"], "sets": [[], ["0"], ["1"], ["0", "1"]]}))
+    result = runner.invoke(main, ["op", "disjoint"] + [str(four)] * 20)
+    _bad_input_exit(result, f"carrier has {4**20} elements, limit is 65536")
+
+
 def test_lang_and_chain_commands(runner, tmp_path):
     frag = tmp_path / "frag.json"
     frag.write_text(
@@ -189,6 +221,19 @@ def test_check_exit_code_contract(runner):
     )
     assert result.exit_code == 0
     assert "[ok]" in result.output
+
+
+def test_repre_certifies_otp_by_the_bad_sequence_search(monkeypatch):
+    from ordkit import kernels
+    from ordkit.checks import run_repre
+
+    search = kernels.bad_sequence_rank
+    monkeypatch.setattr(kernels, "bad_sequence_rank", lambda up: search(up) + 1)
+    report = run_repre(seed=7, trials=5, max_size=2)
+    assert report.properties == ("otp(X) == dim(ss(X))",)
+    assert len(report.failures) == report.info["instances"] == 10
+    values = report.failures[-1]["values"]
+    assert values["bad_sequence_rank"] == values["otp"] + 1 == values["dim"] + 1
 
 
 def test_check_failures_exit_1(runner, monkeypatch):

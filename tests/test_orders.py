@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from ordkit import (
     ss,
     upset,
 )
+from ordkit import kernels
 from ordkit.errors import (
     CarrierMismatch,
     NotALattice,
@@ -92,6 +94,29 @@ def test_otp_matches_naive_oracle():
     for _ in range(100):
         qo = random_quasi_order(rng, 5)
         assert otp(qo) == naive_otp(qo)
+
+
+def test_otp_is_certified_by_the_bad_sequence_search():
+    for n in range(5):
+        for qo in all_quasi_orders(n):
+            assert otp(qo) == kernels.bad_sequence_rank(qo.up)
+    rng = random.Random(29)
+    for _ in range(200):
+        u = nats(rng.randint(5, 12))
+        density = rng.uniform(0.02, 0.4)
+        qo = mk_qo(u, [(x, y) for x in u for y in u if rng.random() < density])
+        assert otp(qo) == kernels.bad_sequence_rank(qo.up)
+
+
+def test_otp_of_a_large_antichain_runs_no_search():
+    qo = antichain(200)
+    tracemalloc.start()
+    try:
+        assert otp(qo) == 200
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ss_examples():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from ordkit.errors import (
     UniverseTooLarge,
 )
 from ordkit.generators import random_system
-from ordkit.systems import BANG_SUPPORT_BOUND, system_from_json
+from ordkit.systems import BANG_SUPPORT_BOUND, DISJOINT_MEMBER_BOUND, system_from_json
 
 from .oracles import nats, system
 
@@ -140,6 +141,19 @@ def test_ew_disjoint_examples():
     assert len(single.members) == len(b.members)
     with pytest.raises(EmptyOperandList):
         ew_disjoint()
+
+
+def test_ew_disjoint_refuses_a_member_count_over_budget():
+    operands = [system(2, (), (0,), (1,), (0, 1))] * 20  # 4**20 choice tuples
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseTooLarge, match=f"{4**20} elements, limit is {DISJOINT_MEMBER_BOUND}"):
+            ew_disjoint(*operands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    assert len(ew_disjoint(*operands[:8]).members) == 4**8 == DISJOINT_MEMBER_BOUND
 
 
 def test_tagged_union_examples():

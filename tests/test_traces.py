@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,6 +48,7 @@ from ordkit.errors import (
     InvalidArity,
     NotASimulation,
     NotLinear,
+    UniverseTooLarge,
 )
 from ordkit.generators import (
     all_quasi_orders,
@@ -59,6 +61,7 @@ from ordkit.generators import (
     sequential_traces,
 )
 from ordkit.ramsey import check_image_bound
+from ordkit.traces import COMPOSE_OPTION_BOUND
 
 from .oracles import nats, system
 
@@ -183,6 +186,35 @@ def test_compose_functional_law():
         comp = compose(outer, inner)
         for g in subsets(fc):
             assert apply(comp, g) == apply(outer, apply(inner, g))
+
+
+def wide_composition(width):
+    """Outer pairs over all of a width-element middle field, two inner options each.
+
+    Every outer pair expands into 2**width option sets.
+    """
+    mid = nats(width)
+    options = [(y, (leaf(f"{i}{side}"),)) for i, y in enumerate(mid) for side in "ab"]
+    outer = mk_trace(mid, mid, [(x, mid) for x in mid])
+    inner = mk_trace(mid, [v[0] for _, v in options], options)
+    return outer, inner
+
+
+def test_compose_refuses_an_expansion_over_budget():
+    outer, inner = wide_composition(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseTooLarge, match=f"limit is {COMPOSE_OPTION_BOUND}"):
+            compose(outer, inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    outer, inner = wide_composition(16)  # 16 pairs of 2**16 each: over by the sum
+    with pytest.raises(UniverseTooLarge, match="at least 131072 elements"):
+        compose(outer, inner)
+    outer, inner = wide_composition(3)
+    assert len(compose(outer, inner).pairs) == 3 * 2**3
 
 
 def test_apply_is_monotone():
