@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, results or check reports out.
 
 Exit codes: 0 success, 1 a check suite reported failures, 2 malformed
-input (the diagnostic names the offending JSON path).
+input (the diagnostic names the offending JSON path), 3 an internal error
+(any exception the library did not raise on purpose).
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ _json_opt = click.option(
 
 
 def _wrap(fn):
-    """Convert library errors into exit code 2 with a diagnostic."""
+    """Convert library errors into exit code 2 with a diagnostic, and any
+    other exception into exit code 3; click's own exits pass through."""
 
     @functools.wraps(fn)
     def runner(ctx, *args, **kwargs):
@@ -119,6 +121,11 @@ def _wrap(fn):
             return fn(ctx, *args, **kwargs)
         except OrdkitError as exc:
             _fail_input(ctx, exc)
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(3)
 
     return runner
 

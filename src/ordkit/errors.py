@@ -32,10 +32,12 @@ class UnknownElement(OrdkitError):
 
 
 class UniverseTooLarge(OrdkitError):
-    def __init__(self, size, bound):
+    """A request over a size budget; the message names what was counted."""
+
+    def __init__(self, size, bound, what="carrier", unit="elements"):
         self.size = size
         self.bound = bound
-        super().__init__(f"carrier has {size} elements, limit is {bound}")
+        super().__init__(f"{what} has {size} {unit}, limit is {bound}")
 
 
 class CarrierMismatch(OrdkitError):

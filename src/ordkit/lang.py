@@ -174,7 +174,7 @@ def closure_bounded(
     for _ in range(max_len + 1):
         count += term
         if count > LANG_WORD_BOUND:
-            raise UniverseTooLarge(f"at least {count}", LANG_WORD_BOUND)
+            raise UniverseTooLarge(f"at least {count}", LANG_WORD_BOUND, "word space", "words")
         term *= letters
         if not term:
             break
@@ -342,6 +342,12 @@ def elasticity_chain(
 
     Returns the first chain in deterministic index order, or None when no
     chain exists inside the horizons (which proves nothing beyond them).
+
+    A chain of length k needs k + 1 distinct elements and k distinct
+    families: t_j is outside i_j while i_j holds every earlier element, so
+    t_j differs from them; and every later family holds t_j, so i_j differs
+    from all of them.  So ``k > min(element_horizon - 1, family_horizon)``
+    is answered None before any membership is read.
     """
     if k < 1:
         raise InvalidQuery("chain length must be at least 1")
@@ -349,6 +355,8 @@ def elasticity_chain(
         raise InvalidQuery(f"element_horizon must be at least 0, got {element_horizon}")
     if family_horizon < 0:
         raise InvalidQuery(f"family_horizon must be at least 0, got {family_horizon}")
+    if k > min(element_horizon - 1, family_horizon):
+        return None
     memo: dict[tuple[int, int], bool] = {}
 
     def mem(i: int, n: int) -> bool:

@@ -27,9 +27,9 @@ from .errors import (
 # bang's universe has 2**|support| finset atoms; the bound matches dim's
 # default --max-universe
 BANG_SUPPORT_BOUND = 16
-# ew_disjoint builds one member per choice tuple, the product of the
-# operands' member counts
-DISJOINT_MEMBER_BOUND = 1 << 16
+# ew_union, ew_intersect, ew_product and ew_disjoint build one member per
+# choice of one member from each operand, the product of their member counts
+MEMBER_BOUND = 1 << 16
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -145,8 +145,19 @@ def system_from_json(obj, path: str = "$") -> SetSystem:
     return mk_system(universe, members)
 
 
-def _pairwise(op, lhs: SetSystem, rhs: SetSystem) -> SetSystem:
-    """``op`` on every pair of members, over lhs's support then rhs's new atoms."""
+def _refuse_over_budget(what: str, unit: str, systems: Sequence[SetSystem]) -> None:
+    """Refuse, before anything is built, an op making one member per choice of
+    a member from each of ``systems`` when the choices exceed ``MEMBER_BOUND``."""
+    count = math.prod(len(s.member_masks) for s in systems)
+    if count > MEMBER_BOUND:
+        raise UniverseTooLarge(count, MEMBER_BOUND, what, unit)
+
+
+def _pairwise(op, what: str, lhs: SetSystem, rhs: SetSystem) -> SetSystem:
+    """``op`` on every pair of members, over lhs's support then rhs's new atoms.
+
+    More than ``MEMBER_BOUND`` member pairs are refused before any is built."""
+    _refuse_over_budget(what, "member pairs", (lhs, rhs))
     atoms, r_masks = lhs.support, rhs.member_masks
     if rhs.support != atoms:
         bit = {a: 1 << i for i, a in enumerate(atoms)}
@@ -162,18 +173,20 @@ def _pairwise(op, lhs: SetSystem, rhs: SetSystem) -> SetSystem:
 
 def ew_union(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """All pairwise unions of members; universes merged."""
-    return _pairwise(int.__or__, lhs, rhs)
+    return _pairwise(int.__or__, "elementwise union", lhs, rhs)
 
 
 def ew_intersect(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """All pairwise intersections of members; universes merged."""
-    return _pairwise(int.__and__, lhs, rhs)
+    return _pairwise(int.__and__, "elementwise intersection", lhs, rhs)
 
 
 def ew_product(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """All pairwise cartesian products, over the pair atoms of the supports.
 
-    Pair ``(x_i, y_j)`` is bit ``i * len(rhs.support) + j``, already atom order."""
+    Pair ``(x_i, y_j)`` is bit ``i * len(rhs.support) + j``, already atom order.
+    More than ``MEMBER_BOUND`` member pairs are refused before any is built."""
+    _refuse_over_budget("elementwise product", "member pairs", (lhs, rhs))
     width = len(rhs.support)
     atoms = tuple(pair(x, y) for x in lhs.support for y in rhs.support)
     members = []
@@ -192,14 +205,11 @@ def _tagged_space(systems: tuple[SetSystem, ...]) -> tuple[list[Atom], list[int]
 def ew_disjoint(*systems: SetSystem) -> SetSystem:
     """Tagged elementwise disjoint union: one member per choice tuple.
 
-    More than ``DISJOINT_MEMBER_BOUND`` choice tuples are refused before
-    any is built.
+    More than ``MEMBER_BOUND`` choice tuples are refused before any is built.
     """
     if not systems:
         raise EmptyOperandList("disjoint union needs at least one operand")
-    count = math.prod(len(s.member_masks) for s in systems)
-    if count > DISJOINT_MEMBER_BOUND:
-        raise UniverseTooLarge(count, DISJOINT_MEMBER_BOUND)
+    _refuse_over_budget("disjoint union", "members", systems)
     atoms, offsets = _tagged_space(systems)
     members = [
         sum(m << off for m, off in zip(combo, offsets))
@@ -226,7 +236,7 @@ def bang(system: SetSystem) -> SetSystem:
     """
     support = system.support
     if len(support) > BANG_SUPPORT_BOUND:
-        raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND)
+        raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND, "support")
     atoms = [finset(support[i] for i in _bits(s)) for s in range(1 << len(support))]
     members = []
     for m in system.member_masks:

@@ -200,7 +200,9 @@ def compose(outer: Trace, inner: Trace) -> Trace:
             continue
         count += math.prod(map(len, pools))
         if count > COMPOSE_OPTION_BOUND:
-            raise UniverseTooLarge(f"at least {count}", COMPOSE_OPTION_BOUND)
+            raise UniverseTooLarge(
+                f"at least {count}", COMPOSE_OPTION_BOUND, "composition", "option sets"
+            )
         expansions.append((x, pools))
     pairs = [
         (x, frozenset().union(*combo))

@@ -148,7 +148,7 @@ def test_lang_closure_over_budget_exits_2(runner, tmp_path):
     frag = tmp_path / "frag.json"
     frag.write_text(json.dumps({"alphabet": ["a"], "max_len": 1000000, "words": ["a"]}))
     result = runner.invoke(main, ["lang", "star", str(frag)])
-    _bad_input_exit(result, "carrier has at least 8193 elements, limit is 8192")
+    _bad_input_exit(result, "word space has at least 8193 words, limit is 8192")
 
 
 def test_otp_of_a_wide_antichain(runner, tmp_path):
@@ -173,14 +173,39 @@ def test_compose_over_budget_exits_2(runner, tmp_path):
         "pairs": [{"x": v[:-1], "v": [v]} for v in low],
     }))
     result = runner.invoke(main, ["trace", "compose", str(outer), str(inner)])
-    _bad_input_exit(result, f"carrier has at least {2**40} elements, limit is 65536")
+    _bad_input_exit(result, f"composition has at least {2**40} option sets, limit is 65536")
 
 
 def test_disjoint_over_budget_exits_2(runner, tmp_path):
     four = tmp_path / "four.json"
     four.write_text(json.dumps({"universe": ["0", "1"], "sets": [[], ["0"], ["1"], ["0", "1"]]}))
     result = runner.invoke(main, ["op", "disjoint"] + [str(four)] * 20)
-    _bad_input_exit(result, f"carrier has {4**20} elements, limit is 65536")
+    _bad_input_exit(result, f"disjoint union has {4**20} members, limit is 65536")
+
+
+def test_product_over_budget_exits_2(runner, tmp_path):
+    u = [str(i) for i in range(9)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "universe": u,
+        "sets": [[a for i, a in enumerate(u) if k >> i & 1] for k in range(300)],
+    }))
+    result = runner.invoke(main, ["op", "product", str(wide), str(wide)])
+    _bad_input_exit(result, "elementwise product has 90000 member pairs, limit is 65536")
+
+
+def test_internal_error_exits_3(runner, monkeypatch, tmp_path):
+    def broken(qo):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ordkit.cli.otp", broken)
+    qo_path = tmp_path / "chain.json"
+    qo_path.write_text(json.dumps({"elements": ["0", "1"], "le": [["0", "1"]]}))
+    result = runner.invoke(main, ["otp", str(qo_path)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "internal error: RuntimeError: boom\n"
 
 
 def test_lang_and_chain_commands(runner, tmp_path):

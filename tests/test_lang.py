@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -224,6 +225,25 @@ def test_elasticity_chains():
         elasticity_chain(dcl, 1, element_horizon=-1)
     with pytest.raises(InvalidQuery):
         elasticity_chain(dcl, 1, family_horizon=-1)
+
+
+def test_elasticity_chain_answers_impossible_lengths_without_search():
+    dcl = canonical_family("dcl")
+    calls = []
+
+    def member_index(i, n):
+        calls.append((i, n))
+        return dcl.member_index(i, n)
+
+    counted = dataclasses.replace(dcl, member_index=member_index)
+    # length k needs k + 1 distinct elements and k distinct families
+    assert elasticity_chain(counted, 64) is None
+    assert elasticity_chain(counted, 62, element_horizon=62) is None
+    assert elasticity_chain(counted, 5, family_horizon=4) is None
+    assert calls == []
+    chain = elasticity_chain(counted, 4, element_horizon=5, family_horizon=4)
+    assert chain == ElasticityChain((0, 1, 2, 3, 4), (0, 1, 2, 3))
+    assert calls
 
 
 def test_validator_rejects_corrupt_chain():

@@ -26,7 +26,7 @@ from ordkit.errors import (
     UniverseTooLarge,
 )
 from ordkit.generators import random_system
-from ordkit.systems import BANG_SUPPORT_BOUND, DISJOINT_MEMBER_BOUND, system_from_json
+from ordkit.systems import BANG_SUPPORT_BOUND, MEMBER_BOUND, system_from_json
 
 from .oracles import nats, system
 
@@ -147,13 +147,32 @@ def test_ew_disjoint_refuses_a_member_count_over_budget():
     operands = [system(2, (), (0,), (1,), (0, 1))] * 20  # 4**20 choice tuples
     tracemalloc.start()
     try:
-        with pytest.raises(UniverseTooLarge, match=f"{4**20} elements, limit is {DISJOINT_MEMBER_BOUND}"):
+        with pytest.raises(UniverseTooLarge, match=f"{4**20} members, limit is {MEMBER_BOUND}"):
             ew_disjoint(*operands)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 10_000
-    assert len(ew_disjoint(*operands[:8]).members) == 4**8 == DISJOINT_MEMBER_BOUND
+    assert len(ew_disjoint(*operands[:8]).members) == 4**8 == MEMBER_BOUND
+
+
+def test_pairwise_ops_refuse_a_member_count_over_budget():
+    u = nats(9)
+    subsets = [[a for i, a in enumerate(u) if k >> i & 1] for k in range(300)]
+    wide = mk_system(u, subsets)  # 300 * 300 member pairs
+    tracemalloc.start()
+    try:
+        for op, name in ((ew_product, "product"), (ew_union, "union"),
+                         (ew_intersect, "intersection")):
+            with pytest.raises(UniverseTooLarge,
+                               match=f"elementwise {name} has 90000 member pairs, limit is {MEMBER_BOUND}"):
+                op(wide, wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    full = mk_system(u, subsets[:256])  # 256 * 256 pairs fit the budget exactly
+    assert len(ew_union(full, full).members) == 256
 
 
 def test_tagged_union_examples():

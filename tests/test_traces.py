@@ -211,7 +211,7 @@ def test_compose_refuses_an_expansion_over_budget():
         tracemalloc.stop()
     assert peak < 100_000
     outer, inner = wide_composition(16)  # 16 pairs of 2**16 each: over by the sum
-    with pytest.raises(UniverseTooLarge, match="at least 131072 elements"):
+    with pytest.raises(UniverseTooLarge, match="at least 131072 option sets"):
         compose(outer, inner)
     outer, inner = wide_composition(3)
     assert len(compose(outer, inner).pairs) == 3 * 2**3
