@@ -15,7 +15,11 @@ reach them through ``ordkit.kernels``:
   to 2**n states and certifies ``orders.otp``, the equivalence-class
   count, rather than computing it.
 * ``ramsey_search`` -- exhaustive two-coloring search with clique pruning
-  and a color-swap symmetry cut on the first edge.
+  that returns the lexicographically least valid coloring.  It skips only
+  colorings that a symmetry maps to a smaller valid one: a color swap on
+  the first edge when both clique sizes agree, and a lex-leader cut at
+  each vertex boundary, which drops a complete K_j whose coloring some
+  vertex transposition makes colex-smaller.
 
 The production search.  Let ``contains[t]`` be the set of members holding
 element ``t``.  Then ``V(empty) = 0`` and ``V(C) = 1 + max V(C & contains[t])``
@@ -151,10 +155,25 @@ def bad_sequence_rank(up_masks: Sequence[int]) -> int:
 def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
     """Search K_n for a coloring with no clique of size l1 in color 0 nor l2 in color 1.
 
-    Returns the counterexample coloring (edge colors in the order (0,1),
-    (0,2), (1,2), (0,3), ...) or None when every coloring contains a
-    monochromatic clique.  When l1 == l2 the first edge is pinned to color
-    0; a color swap maps counterexamples to counterexamples.
+    Returns the counterexample coloring (edge colors in the colex order
+    (0,1), (0,2), (1,2), (0,3), ...) or None when every coloring contains
+    a monochromatic clique.
+
+    The search colors edges in that order, color 0 first, so the coloring
+    it returns is the lexicographically least valid one, L.  Two cuts skip
+    only subtrees that cannot hold L:
+
+    * when l1 == l2 the first edge is pinned to color 0, since swapping the
+      colors maps valid colorings to valid colorings;
+    * lex-leader: once vertices 0..j-1 are complete, just before the edge
+      (0, j), the prefix is dropped if some transposition (a b) with
+      a < b < j makes the coloring of K_j colex-smaller.  A vertex
+      permutation maps valid colorings to valid colorings, and the edges
+      of K_j precede every later edge, so the transposition lowers every
+      completion of the prefix.
+
+    Rows are compared on the color-1 adjacency masks: row v of K_j is the
+    set of i < v with (i, v) in color 1, read from bit 0 up.
     """
     if l1 < 1 or l2 < 1 or n < 1:
         raise ValueError("clique sizes and vertex count must be positive")
@@ -179,10 +198,31 @@ def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
                 return True
         return False
 
+    def lex_leader(j: int) -> bool:
+        """False if some transposition (a b), a < b < j, lowers the coloring of K_j."""
+        rows = adj[1]
+        for b in range(1, j):
+            for a in range(b):
+                ab = 1 << a | 1 << b
+                # rows below a are fixed; row v of the image is row sigma(v)
+                # with bits a and b swapped, cut to the bits below v
+                for v in range(a, j):
+                    r = rows[b if v == a else a if v == b else v]
+                    if (r >> a ^ r >> b) & 1:
+                        r ^= ab
+                    d = (r ^ rows[v]) & ((1 << v) - 1)
+                    if d:
+                        if r & d & -d:
+                            break  # the image is larger
+                        return False
+        return True
+
     def dfs(e: int) -> bool:
         if e == m:
             return True
         i, j = edges[e]
+        if i == 0 and not lex_leader(j):
+            return False
         for c in ((0,) if (e == 0 and sym) else (0, 1)):
             if not clique(adj[c], adj[c][i] & adj[c][j], need[c]):
                 colors[e] = c

@@ -399,7 +399,7 @@ def run_trace_laws(report, rng, trials, bound):
         if len(canons) != 1:
             report.fail(1, {"behavior": vec}, canonical_forms=len(canons))
     # linear uniqueness: distinct singleton-lift relations differ on a singleton
-    for _ in range(trials // 5):
+    for _ in range(max(1, trials // 5)):
         n = rng.randint(1, 3)
         fa, fb = nat_atoms(n), nat_atoms(n)
         rel_a = frozenset((x, y) for x in fa for y in fb if rng.random() < 0.4)

@@ -126,3 +126,49 @@ def has_mono_clique(n: int, colored_edges: dict, color: str, size: int) -> bool:
         ):
             return True
     return False
+
+
+def ramsey_search_reference(l1: int, l2: int, n: int):
+    """The edge DFS with clique pruning and only the first-edge color-swap pin.
+
+    Edges are colored in the order (0,1), (0,2), (1,2), (0,3), ..., color 0
+    first, so it returns the lexicographically least coloring of K_n with
+    no l1-clique in color 0 and no l2-clique in color 1, or None.
+    """
+    if l1 == 1 or l2 == 1:
+        return None
+    edges = [(i, j) for j in range(n) for i in range(j)]
+    m = len(edges)
+    adj = ([0] * n, [0] * n)
+    colors = [0] * m
+    need = (l1 - 2, l2 - 2)
+    sym = l1 == l2
+
+    def clique(adjc, cand, size):
+        if size == 0:
+            return True
+        if cand.bit_count() < size:
+            return False
+        while cand:
+            v = cand & -cand
+            cand ^= v
+            if clique(adjc, cand & adjc[v.bit_length() - 1], size - 1):
+                return True
+        return False
+
+    def dfs(e):
+        if e == m:
+            return True
+        i, j = edges[e]
+        for c in ((0,) if (e == 0 and sym) else (0, 1)):
+            if not clique(adj[c], adj[c][i] & adj[c][j], need[c]):
+                colors[e] = c
+                adj[c][i] |= 1 << j
+                adj[c][j] |= 1 << i
+                if dfs(e + 1):
+                    return True
+                adj[c][i] &= ~(1 << j)
+                adj[c][j] &= ~(1 << i)
+        return False
+
+    return list(colors) if dfs(0) else None

@@ -261,6 +261,17 @@ def test_repre_certifies_otp_by_the_bad_sequence_search(monkeypatch):
     assert values["bad_sequence_rank"] == values["otp"] + 1 == values["dim"] + 1
 
 
+@pytest.mark.parametrize("trials", [2, 3, 4])
+def test_trace_laws_checks_linear_uniqueness_below_five_trials(monkeypatch, trials):
+    from ordkit import checks as checks_mod
+
+    # every trace now behaves alike, so two distinct relations violate property 2
+    monkeypatch.setattr(checks_mod, "apply", lambda trace, g: frozenset())
+    report = checks_mod.run_trace_laws(trials=trials)
+    failed = {f["property"] for f in report.failures}
+    assert report.properties[2] in failed
+
+
 def test_check_failures_exit_1(runner, monkeypatch):
     from ordkit import checks as checks_mod
     from ordkit.checks import CheckReport

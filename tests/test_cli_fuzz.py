@@ -1,9 +1,12 @@
-"""Hostile JSON documents never crash the command line.
+"""Hostile JSON documents and flag values never crash the command line.
 
 Each file-reading command gets documents that are mostly of the kind it
 expects, with nested atoms, repeated atoms and elements outside their
 carrier, and sometimes a field or the whole document of the wrong type.
-Every run must end with exit code 0, 1 or 2 and print no traceback.
+The integer arguments of ``ramsey``, ``lang --max-len`` and ``chain`` get
+zero, negative, small and (where a budget refuses them before any work)
+huge values.  Every run must end with exit code 0, 1 or 2 and print no
+traceback.
 """
 
 import json
@@ -103,10 +106,48 @@ def invocations(draw):
     return list(argv), docs
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(invocation=invocations())
-def test_hostile_json_never_crashes(tmp_path_factory, invocation):
-    argv, docs = invocation
+@st.composite
+def hostile_ints(draw, top):
+    """Mostly -3..top; one time in ten a value that a budget or a range
+    check refuses before any work (a width far over ``LANG_WORD_BOUND``, a
+    vertex count far over ``VERIFY_VERTEX_BOUND``)."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from([-10**30, -10**9, 10**9, 10**30]))
+    return draw(st.integers(-3, top))
+
+
+@st.composite
+def flag_invocations(draw):
+    """``ramsey``, ``lang --max-len`` and ``chain`` with hostile integers.
+
+    The ``chain`` search is exhaustive inside its horizons, so those stay
+    small; ``arith_prog`` chains of length 5 already take seconds at the
+    default horizons.
+    """
+    command = draw(st.sampled_from(["ramsey", "lang", "chain"]))
+    if command == "ramsey":
+        kind = draw(st.sampled_from(["bound", "exact", "verify"]))
+        count = 3 if kind == "verify" and draw(st.integers(0, 3)) else draw(st.integers(1, 4))
+        numbers = [draw(hostile_ints(12)) for _ in range(count)]
+        # "--" lets a negative number reach the command instead of the parser
+        return ["ramsey", kind, "--", *map(str, numbers)], []
+    if command == "lang":
+        kind = draw(st.sampled_from(["star", "plus", "closure", "shuffle", "half"]))
+        max_len = draw(hostile_ints(12))
+        docs = [draw(fragments) for _ in range(2 if kind == "shuffle" else 1)]
+        return ["lang", kind, "--max-len", str(max_len)], docs
+    family = draw(st.sampled_from(["singl", "dcl", "cosingl", "arith_prog"]))
+    length, element_horizon, family_horizon = (
+        draw(st.integers(-3, 4 if family == "arith_prog" else 5)),
+        draw(st.integers(-3, 12)),
+        draw(st.integers(-3, 12)),
+    )
+    return ["chain", "--family", family, "--length", str(length),
+            "--element-horizon", str(element_horizon),
+            "--family-horizon", str(family_horizon)], []
+
+
+def _run(tmp_path_factory, argv, docs):
     folder = tmp_path_factory.mktemp("fuzz")
     paths = []
     for i, doc in enumerate(docs):
@@ -117,3 +158,15 @@ def test_hostile_json_never_crashes(tmp_path_factory, invocation):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(invocation=invocations())
+def test_hostile_json_never_crashes(tmp_path_factory, invocation):
+    _run(tmp_path_factory, *invocation)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(invocation=flag_invocations())
+def test_hostile_flag_values_never_crash(tmp_path_factory, invocation):
+    _run(tmp_path_factory, *invocation)

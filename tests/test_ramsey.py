@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 from functools import lru_cache
 
 import pytest
+from click.testing import CliRunner
 
 from ordkit import (
     check_image_bound,
@@ -21,11 +23,12 @@ from ordkit import (
     ram_upper,
     ram_verify,
 )
-from ordkit import ramsey
+from ordkit import kernels, ramsey
+from ordkit.cli import main
 from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded
 from ordkit.generators import random_system
 
-from .oracles import has_mono_clique, nats, system
+from .oracles import has_mono_clique, nats, ramsey_search_reference, system
 
 
 def test_ram_upper_values():
@@ -104,6 +107,41 @@ def test_ram_verify_edges():
         ram_verify(3, 3, 8)
     with pytest.raises(InvalidQuery):
         ram_verify(0, 3, 3)
+
+
+_SEARCH_GRID = [
+    *itertools.product(range(1, 5), range(1, 5), range(1, 9)),
+    (3, 5, 9), (3, 5, 10), (5, 3, 10),
+]
+
+
+@pytest.mark.parametrize("l1, l2, n", _SEARCH_GRID)
+def test_ramsey_search_returns_the_reference_value(l1, l2, n):
+    assert kernels.ramsey_search(l1, l2, n) == ramsey_search_reference(l1, l2, n)
+
+
+@pytest.mark.parametrize("l1, l2, n", [(3, 4, 9), (4, 3, 9), (3, 4, 10)])
+def test_ramsey_search_refutes_beyond_r34(l1, l2, n):
+    # R(3,4) = 9: every coloring of K_9 has a red l1-clique or a black l2-clique
+    assert kernels.ramsey_search(l1, l2, n) is None
+
+
+# sha256 of `ordkit --json ramsey verify L1 L2 N` output, recorded at 4689932,
+# before the lex-leader cut
+_WITNESS_DIGESTS = {
+    (3, 3, 5): "bf2b9c65541ef1e3d32cc07b95c8ffaa61ca1577eff7b180cbd80067edce1442",
+    (3, 4, 7): "68c837eb37b1e4dc5da4d04029c708454ca489c11f481d1c0067a25fbd6d0f83",
+    (4, 4, 7): "5cf7f9e4711a13fb7e0fc146b4c28d5e41c64aba00ad74ea8b44e4560a7f887f",
+    (4, 3, 6): "f69da22cc43a8bbe713ba4bd9999780057de18970e6e7a332401a46cbb46d32a",
+    (2, 5, 4): "e1eaf06b7c65ebf46ddc12fc0e02380727114ed20ca1940300ecf3020b6ee515",
+}
+
+
+@pytest.mark.parametrize("args, digest", sorted(_WITNESS_DIGESTS.items()))
+def test_ramsey_verify_witness_bytes_are_pinned(args, digest):
+    result = CliRunner().invoke(main, ["--json", "ramsey", "verify", *map(str, args)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 def test_check_union_bound_fixtures():
