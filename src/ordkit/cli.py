@@ -304,6 +304,8 @@ def ramsey_cmd(ctx, kind, numbers):
 @_wrap
 def lang_cmd(ctx, kind, files, max_len):
     """Bounded closures, shuffle products and the halving operator."""
+    if max_len is not None and kind in ("shuffle", "half"):
+        raise InvalidQuery(f"--max-len applies to star, plus and closure, not to {kind}")
     frags = [fragment_from_json(_load(f), path=f) for f in files]
     if kind == "shuffle":
         if len(frags) != 2:

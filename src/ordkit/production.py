@@ -20,7 +20,7 @@ the memo that ``dim`` filled for the same system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -66,6 +66,18 @@ def is_production_sequence(
 @lru_cache(maxsize=1 << 14)
 def _dim_cached(member_masks: tuple[int, ...], support_mask: int) -> int:
     return kernels.production_rank(member_masks, support_mask)
+
+
+def _mask_rank(masks: set[int]) -> int:
+    """The rank of the family whose members are ``masks``, under any labelling
+    of their bits.
+
+    The rank depends neither on which bit stands for which atom nor on the
+    order of the members, and the support a member family uses is the OR of
+    its masks; so the sorted masks with that OR key the same memo as ``dim``
+    and give the rank of every system these masks relabel."""
+    key = tuple(sorted(masks))
+    return _dim_cached(key, reduce(int.__or__, key, 0))
 
 
 def dim(system: SetSystem) -> int:

@@ -17,8 +17,8 @@ from typing import Optional
 from . import kernels
 from .errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded
 from .orders import QuasiOrder, intersect_qo, otp
-from .production import dim
-from .systems import SetSystem, ew_union
+from .production import _mask_rank, dim
+from .systems import SetSystem, _pairwise_masks
 from .traces import Trace, branching_degree, direct_image
 
 VERIFY_VERTEX_BOUND = 7
@@ -194,14 +194,21 @@ class BoundReport:
 
 
 def check_union_bound(*systems: SetSystem) -> BoundReport:
-    """dim(union of all) + 1 < Ram(dim_i + 2, ...)."""
+    """dim(union of all) + 1 < Ram(dim_i + 2, ...).
+
+    The elementwise union is folded as masks through
+    ``systems._pairwise_masks``, with the same refusal as ``ew_union``, and
+    is never built as a system: its rank depends neither on bit labels nor
+    on member order, so it is read from the distinct masks with their OR as
+    the support mask.  A single operand is its own union.
+    """
     if not systems:
         raise InvalidQuery("at least one system is required")
     dims = [dim(s) for s in systems]
-    union = systems[0]
+    atoms, masks = systems[0].support, systems[0].member_masks
     for s in systems[1:]:
-        union = ew_union(union, s)
-    lhs = dim(union) + 1
+        atoms, masks = _pairwise_masks(int.__or__, "elementwise union", atoms, masks, s)
+    lhs = (_mask_rank(masks) if len(systems) > 1 else dims[0]) + 1
     sizes = tuple(d + 2 for d in dims)
     detail = {"dims": dims, "union_dim": lhs - 1, "ramsey_args": list(sizes)}
     rhs, kind = _gate(sizes, detail)

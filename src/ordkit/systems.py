@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
@@ -145,27 +145,45 @@ def system_from_json(obj, path: str = "$") -> SetSystem:
     return mk_system(universe, members)
 
 
-def _refuse_over_budget(what: str, unit: str, systems: Sequence[SetSystem]) -> None:
+def _refuse_over_budget(what: str, unit: str, counts: Iterable[int]) -> None:
     """Refuse, before anything is built, an op making one member per choice of
-    a member from each of ``systems`` when the choices exceed ``MEMBER_BOUND``."""
-    count = math.prod(len(s.member_masks) for s in systems)
+    a member from each operand, when the choices (the product of the
+    operands' member ``counts``) exceed ``MEMBER_BOUND``."""
+    count = math.prod(counts)
     if count > MEMBER_BOUND:
         raise UniverseTooLarge(count, MEMBER_BOUND, what, unit)
+
+
+def _pairwise_masks(
+    op, what: str, atoms: tuple[Atom, ...], masks: Collection[int], rhs: SetSystem
+) -> tuple[tuple[Atom, ...], set[int]]:
+    """``op`` on every pair of a mask in ``masks`` over ``atoms`` and a member
+    of ``rhs``: the atoms, ``atoms`` then rhs's new ones, and the distinct
+    result masks over them.
+
+    The masks are neither compacted nor sorted, so they are the canonical
+    family up to a relabelling of bits and an order of members.  Whatever
+    depends on neither, such as the production rank with the OR of the
+    masks as the support mask, can be read from them directly, and an
+    earlier result can be passed back as ``(atoms, masks)`` to fold a chain
+    of operands.  More than ``MEMBER_BOUND`` member pairs are refused
+    before any is built."""
+    _refuse_over_budget(what, "member pairs", (len(masks), len(rhs.member_masks)))
+    r_masks = rhs.member_masks
+    if rhs.support != atoms:
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+        for a in rhs.support:
+            bit.setdefault(a, 1 << len(bit))
+        atoms, table = tuple(bit), [bit[a] for a in rhs.support]
+        r_masks = [_remap(r, table) for r in r_masks]
+    return atoms, set(itertools.starmap(op, itertools.product(masks, r_masks)))
 
 
 def _pairwise(op, what: str, lhs: SetSystem, rhs: SetSystem) -> SetSystem:
     """``op`` on every pair of members, over lhs's support then rhs's new atoms.
 
     More than ``MEMBER_BOUND`` member pairs are refused before any is built."""
-    _refuse_over_budget(what, "member pairs", (lhs, rhs))
-    atoms, r_masks = lhs.support, rhs.member_masks
-    if rhs.support != atoms:
-        bit = {a: 1 << i for i, a in enumerate(atoms)}
-        for a in rhs.support:
-            bit.setdefault(a, 1 << len(bit))
-        atoms, table = list(bit), [bit[a] for a in rhs.support]
-        r_masks = [_remap(r, table) for r in r_masks]
-    members = [op(l, r) for l in lhs.member_masks for r in r_masks]
+    atoms, members = _pairwise_masks(op, what, lhs.support, lhs.member_masks, rhs)
     if lhs.universe == rhs.universe:
         return _canonical(lhs.universe, atoms, members)
     return _canonical(tuple(sorted(set(lhs.universe + rhs.universe))), atoms, members)
@@ -186,7 +204,9 @@ def ew_product(lhs: SetSystem, rhs: SetSystem) -> SetSystem:
 
     Pair ``(x_i, y_j)`` is bit ``i * len(rhs.support) + j``, already atom order.
     More than ``MEMBER_BOUND`` member pairs are refused before any is built."""
-    _refuse_over_budget("elementwise product", "member pairs", (lhs, rhs))
+    _refuse_over_budget(
+        "elementwise product", "member pairs", (len(lhs.member_masks), len(rhs.member_masks))
+    )
     width = len(rhs.support)
     atoms = tuple(pair(x, y) for x in lhs.support for y in rhs.support)
     members = []
@@ -209,7 +229,7 @@ def ew_disjoint(*systems: SetSystem) -> SetSystem:
     """
     if not systems:
         raise EmptyOperandList("disjoint union needs at least one operand")
-    _refuse_over_budget("disjoint union", "members", systems)
+    _refuse_over_budget("disjoint union", "members", (len(s.member_masks) for s in systems))
     atoms, offsets = _tagged_space(systems)
     members = [
         sum(m << off for m, off in zip(combo, offsets))

@@ -7,8 +7,9 @@ subsets, all merge positions) and are used to freeze expected values.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
-from ordkit import QuasiOrder, SetSystem, leaf, mk_system
+from ordkit import QuasiOrder, SetSystem, dim, ew_union, leaf, mk_system, ramsey
 
 
 def nats(n: int) -> tuple:
@@ -172,3 +173,16 @@ def ramsey_search_reference(l1: int, l2: int, n: int):
         return False
 
     return list(colors) if dfs(0) else None
+
+
+def union_bound_reference(*systems: SetSystem) -> dict:
+    """``check_union_bound(*systems).to_json()`` with the union built as a
+    system by ``ew_union`` and ranked by ``dim``; the gate is ``ramsey._gate``."""
+    dims = [dim(s) for s in systems]
+    union_dim = dim(reduce(ew_union, systems))
+    sizes = tuple(d + 2 for d in dims)
+    detail = {"dims": dims, "union_dim": union_dim, "ramsey_args": list(sizes)}
+    rhs, kind = ramsey._gate(sizes, detail)
+    return ramsey.BoundReport(
+        "dim(union)+1 < Ram(dims+2)", union_dim + 1, rhs, kind, union_dim + 1 < rhs, detail
+    ).to_json()

@@ -144,6 +144,16 @@ def test_negative_lang_bound_exits_2(runner, tmp_path):
     _bad_input_exit(runner.invoke(main, ["lang", "star", str(frag)]), str(frag))
 
 
+def test_lang_max_len_on_shuffle_or_half_exits_2(runner, tmp_path):
+    frag = tmp_path / "frag.json"
+    frag.write_text(json.dumps({"alphabet": ["a"], "max_len": 1, "words": ["a"]}))
+    for kind, files in (("shuffle", [frag, frag]), ("half", [frag])):
+        for bound in ("-5", "3"):
+            result = runner.invoke(main, ["lang", kind, *map(str, files), "--max-len", bound])
+            _bad_input_exit(result, f"--max-len applies to star, plus and closure, not to {kind}")
+        assert runner.invoke(main, ["lang", kind, *map(str, files)]).exit_code == 0
+
+
 def test_lang_closure_over_budget_exits_2(runner, tmp_path):
     frag = tmp_path / "frag.json"
     frag.write_text(json.dumps({"alphabet": ["a"], "max_len": 1000000, "words": ["a"]}))

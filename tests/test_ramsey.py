@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -17,6 +18,7 @@ from ordkit import (
     identity_trace,
     intersect_qo,
     mk_qo,
+    mk_system,
     otp,
     ram_exact,
     ram_exact_entry,
@@ -25,10 +27,18 @@ from ordkit import (
 )
 from ordkit import kernels, ramsey
 from ordkit.cli import main
-from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded
-from ordkit.generators import random_system
+from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded, UniverseTooLarge
+from ordkit.generators import all_systems, random_system
+from ordkit.systems import MEMBER_BOUND
 
-from .oracles import has_mono_clique, nats, ramsey_search_reference, system
+from .oracles import (
+    has_mono_clique,
+    nats,
+    ramsey_search_reference,
+    system,
+    union_bound_reference,
+)
+from .test_canonical_form import raw_system
 
 
 def test_ram_upper_values():
@@ -164,6 +174,49 @@ def test_check_union_bound_fixtures():
 
     single = check_union_bound(l)
     assert single.holds and single.rhs == dim(l) + 2
+
+
+def test_check_union_bound_matches_the_built_union_on_two_points():
+    small = [s for n in range(3) for s in all_systems(n)]
+    for a, b in itertools.product(small, repeat=2):
+        assert check_union_bound(a, b).to_json() == union_bound_reference(a, b)
+
+
+def test_check_union_bound_matches_the_built_union_over_nested_atoms():
+    rng = random.Random(10)
+    for _ in range(300):
+        # universes of different sizes drawn from one pool, so supports
+        # overlap partly and the rhs bits are realigned
+        a, b = (mk_system(*raw_system(rng, rng.randint(0, 6), 5)) for _ in "ab")
+        assert check_union_bound(a, b).to_json() == union_bound_reference(a, b)
+    for _ in range(40):
+        ops = [mk_system(*raw_system(rng, rng.randint(0, 5), 4)) for _ in range(3)]
+        assert check_union_bound(*ops).to_json() == union_bound_reference(*ops)
+        assert check_union_bound(ops[0]).to_json() == union_bound_reference(ops[0])
+
+
+def test_check_union_bound_refuses_member_pairs_over_budget_before_building():
+    u = nats(9)
+    powerset = mk_system(u, [[a for i, a in enumerate(u) if k >> i & 1] for k in range(512)])
+    message = f"elementwise union has {512 * 512} member pairs, limit is {MEMBER_BOUND}"
+    with pytest.raises(UniverseTooLarge, match=message):
+        ew_union(powerset, powerset)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseTooLarge, match=message):
+            check_union_bound(powerset, powerset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # a fold refuses at the same step, with the same count, as the chain of
+    # ew_union calls: the first pair fits, its union times the third does not
+    half = mk_system(u, powerset.members[:256])
+    with pytest.raises(UniverseTooLarge, match="member pairs") as chain:
+        ew_union(ew_union(half, half), powerset)
+    with pytest.raises(UniverseTooLarge) as fold:
+        check_union_bound(half, half, powerset)
+    assert str(fold.value) == str(chain.value)
 
 
 def test_check_image_bound_fixtures():
