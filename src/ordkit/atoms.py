@@ -1,10 +1,14 @@
 """Structurally ordered atoms: the element values every universe is built from.
 
 An atom has one of five shapes: a leaf token, an ordered pair, a tagged
-value, a word of alphabet symbols, or a finite set of atoms.  Atoms are
-immutable, hashable, and totally ordered (shape rank first, then contents),
-so any collection of atoms has a single canonical enumeration order and
-serializes to identical bytes regardless of construction order.
+value, a word of alphabet symbols, or a finite set of atoms.  An atom is
+the tuple ``(shape, *data)``, child atoms nested as themselves: ``(LEAF,
+token)``, ``(PAIR, left, right)``, ``(TAGGED, value, tag)``, ``(WORD,
+syms)`` and ``(FINSET, sorted distinct elements)``.  Equality, hashing and
+order are the tuple's own, and the tuple order (shape rank first, then
+contents) is the canonical order, so any collection of atoms has a single
+canonical enumeration order and serializes to identical bytes regardless
+of construction order.
 """
 
 from __future__ import annotations
@@ -15,87 +19,67 @@ from .errors import InputError
 
 LEAF, PAIR, TAGGED, WORD, FINSET = range(5)
 
-_SHAPE_NAMES = ("leaf", "pair", "tagged", "word", "finset")
 
+class Atom(tuple):
+    """Immutable structural value ``(shape, *data)``."""
 
-class Atom:
-    """Immutable structural value; equality, hashing and order use one key."""
+    __slots__ = ()
 
-    __slots__ = ("shape", "data", "_key")
-
-    def __init__(self, shape: int, data: tuple, key: tuple):
-        self.shape = shape
-        self.data = data
-        self._key = key
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        return self._key > other._key
-
-    def __ge__(self, other):
-        return self._key >= other._key
+    @property
+    def data(self) -> tuple:
+        return self[1:]
 
     def __repr__(self):
-        if self.shape == LEAF:
-            return self.data[0]
-        if self.shape == PAIR:
-            return f"({self.data[0]!r},{self.data[1]!r})"
-        if self.shape == TAGGED:
-            return f"{self.data[0]!r}@{self.data[1]}"
-        if self.shape == WORD:
-            return "w'" + "".join(self.data[0]) + "'"
-        return "{" + ",".join(repr(a) for a in self.data[0]) + "}"
+        shape = self[0]
+        if shape == LEAF:
+            return self[1]
+        if shape == PAIR:
+            return f"({self[1]!r},{self[2]!r})"
+        if shape == TAGGED:
+            return f"{self[1]!r}@{self[2]}"
+        if shape == WORD:
+            return "w'" + "".join(self[1]) + "'"
+        return "{" + ",".join(repr(a) for a in self[1]) + "}"
 
 
 def leaf(token: str) -> Atom:
     if not isinstance(token, str):
         raise TypeError(f"leaf token must be a string, got {token!r}")
-    return Atom(LEAF, (token,), (LEAF, token))
+    return Atom((LEAF, token))
 
 
 def pair(left: Atom, right: Atom) -> Atom:
-    return Atom(PAIR, (left, right), (PAIR, left._key, right._key))
+    return Atom((PAIR, left, right))
 
 
 def tagged(value: Atom, tag: int) -> Atom:
     if tag < 0:
         raise ValueError("tag must be a nonnegative integer")
-    return Atom(TAGGED, (value, tag), (TAGGED, value._key, tag))
+    return Atom((TAGGED, value, tag))
 
 
 def word(symbols: Iterable[str]) -> Atom:
     syms = tuple(symbols)
     if not all(isinstance(s, str) for s in syms):
         raise TypeError("word symbols must be strings")
-    return Atom(WORD, (syms,), (WORD, syms))
+    return Atom((WORD, syms))
 
 
 def finset(elements: Iterable[Atom]) -> Atom:
-    els = tuple(sorted(set(elements)))
-    return Atom(FINSET, (els,), (FINSET, tuple(a._key for a in els)))
+    return Atom((FINSET, tuple(sorted(set(elements)))))
 
 
 def atom_to_json(atom: Atom):
-    if atom.shape == LEAF:
-        return atom.data[0]
-    if atom.shape == PAIR:
-        return {"pair": [atom_to_json(atom.data[0]), atom_to_json(atom.data[1])]}
-    if atom.shape == TAGGED:
-        return {"tag": [atom_to_json(atom.data[0]), atom.data[1]]}
-    if atom.shape == WORD:
-        return {"word": list(atom.data[0])}
-    return {"finset": [atom_to_json(a) for a in atom.data[0]]}
+    shape = atom[0]
+    if shape == LEAF:
+        return atom[1]
+    if shape == PAIR:
+        return {"pair": [atom_to_json(atom[1]), atom_to_json(atom[2])]}
+    if shape == TAGGED:
+        return {"tag": [atom_to_json(atom[1]), atom[2]]}
+    if shape == WORD:
+        return {"word": list(atom[1])}
+    return {"finset": [atom_to_json(a) for a in atom[1]]}
 
 
 def atom_from_json(obj, path: str = "$") -> Atom:

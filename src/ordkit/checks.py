@@ -173,7 +173,7 @@ def _eq14_trace_identities(l: SetSystem, m: SetSystem) -> tuple[bool, bool]:
     )
 
 
-@_suite("repre", ("otp(X) == dim(ss(X))",), size=(4, None))
+@_suite("repre", ("otp(X) == dim(ss(X))",), size=(4, 5))
 def run_repre(report, rng, trials, bound):
     """Order type of a quasi-order equals the dimension of its up-set system.
 
@@ -188,7 +188,7 @@ def run_repre(report, rng, trials, bound):
     report.info["instances"] = len(instances)
 
 
-@_suite("qo-roundtrip", ("qo(ss(X)) == X",), size=(4, None))
+@_suite("qo-roundtrip", ("qo(ss(X)) == X",), size=(4, 5))
 def run_qo_roundtrip(report, rng, trials, bound):
     """Reading the up-set system back as a quasi-order is the identity."""
     for qo in _quasi_orders(rng, trials, bound):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional
 
-from .atoms import Atom, leaf, word
+from .atoms import word
 from .errors import (
     AlphabetMismatch,
     BoundMismatch,
@@ -239,19 +240,15 @@ def to_set_system(fragments: Iterable[LanguageFragment]) -> SetSystem:
 
 @dataclass(frozen=True)
 class LazyFamily:
-    """Membership-oracle family over an enumerable universe (indices are naturals)."""
+    """An indexed family over the naturals, given by its membership predicate.
+
+    ``member_index(i, n)`` tells whether the natural ``n`` belongs to the
+    ``i``-th member; families, chains and their validation all speak of
+    elements and members by these indices.
+    """
 
     description: str
-    universe_enumerator: Callable[[int], Atom]
-    member: Callable[[int, Atom], bool]
     member_index: Callable[[int, int], bool]
-
-
-def _nat_family(description: str, pred: Callable[[int, int], bool]) -> LazyFamily:
-    def member(i: int, atom: Atom) -> bool:
-        return pred(i, int(atom.data[0]))
-
-    return LazyFamily(description, lambda n: leaf(str(n)), member, pred)
 
 
 def _unpair(k: int) -> tuple[int, int]:
@@ -265,17 +262,17 @@ def _unpair(k: int) -> tuple[int, int]:
 def canonical_family(name: str, params: Optional[dict] = None) -> LazyFamily:
     """The classic indexed families over the naturals, by name."""
     if name == "singl":
-        return _nat_family("singletons {x}", lambda i, n: n == i)
+        return LazyFamily("singletons {x}", lambda i, n: n == i)
     if name == "dcl":
-        return _nat_family("downward closures {0..i}", lambda i, n: n <= i)
+        return LazyFamily("downward closures {0..i}", lambda i, n: n <= i)
     if name == "cosingl":
-        return _nat_family("complements of singletons", lambda i, n: n != i)
+        return LazyFamily("complements of singletons", lambda i, n: n != i)
     if name == "arith_prog":
         def pred(i: int, n: int) -> bool:
             a, d = _unpair(i)
             return n >= a and (n - a) % d == 0
 
-        return _nat_family("arithmetic progressions a + k*d", pred)
+        return LazyFamily("arithmetic progressions a + k*d", pred)
     raise UnknownFamily(f"no family named {name!r}")
 
 
@@ -288,7 +285,7 @@ def family_transform(
     required; membership reads false when no witness exists below it.
     """
     if kind == "complement":
-        return _nat_family(
+        return LazyFamily(
             f"complement of {family.description}",
             lambda i, n: not family.member_index(i, n),
         )
@@ -301,7 +298,7 @@ def family_transform(
                 family.member_index(i, m) for m in range(n, element_horizon + 1)
             )
 
-        return _nat_family(
+        return LazyFamily(
             f"downward closure of {family.description} (horizon {element_horizon})",
             pred,
         )
@@ -318,16 +315,15 @@ class ElasticityChain:
 
 
 def validate_chain(family: LazyFamily, chain: ElasticityChain) -> bool:
-    """Independent re-check of the elasticity conditions via the atom interface."""
+    """Re-check the elasticity conditions element by element, unmemoised."""
     ts = chain.elements
     fs = chain.families
     if len(ts) != len(fs) + 1:
         return False
     for j, i in enumerate(fs, start=1):
-        atoms_before = [family.universe_enumerator(t) for t in ts[:j]]
-        if not all(family.member(i, a) for a in atoms_before):
+        if not all(family.member_index(i, t) for t in ts[:j]):
             return False
-        if family.member(i, family.universe_enumerator(ts[j])):
+        if family.member_index(i, ts[j]):
             return False
     return True
 
@@ -348,6 +344,13 @@ def elasticity_chain(
     t_j differs from them; and every later family holds t_j, so i_j differs
     from all of them.  So ``k > min(element_horizon - 1, family_horizon)``
     is answered None before any membership is read.
+
+    The families that may come next are those of the cover, the bitmask of
+    in-horizon families holding every element picked so far, and each pick
+    ``t`` shrinks it to ``cover & contains(t)``.  So whether a partial
+    chain completes depends only on its cover and the steps still needed,
+    and the search records the pairs that fail as dead: it skips only
+    subtrees known to hold no chain and keeps the index order.
     """
     if k < 1:
         raise InvalidQuery("chain length must be at least 1")
@@ -357,37 +360,36 @@ def elasticity_chain(
         raise InvalidQuery(f"family_horizon must be at least 0, got {family_horizon}")
     if k > min(element_horizon - 1, family_horizon):
         return None
-    memo: dict[tuple[int, int], bool] = {}
+    mem = cache(family.member_index)
 
-    def mem(i: int, n: int) -> bool:
-        key = (i, n)
-        got = memo.get(key)
-        if got is None:
-            got = family.member_index(i, n)
-            memo[key] = got
-        return got
+    @cache
+    def contains(t: int) -> int:
+        return sum(1 << i for i in range(family_horizon) if mem(i, t))
 
+    dead: set[tuple[int, int]] = set()
     elements: list[int] = []
     families: list[int] = []
 
-    def extend() -> bool:
-        if len(families) == k:
+    def extend(cover: int, need: int) -> bool:
+        if not need:
             return True
+        if (cover, need) in dead:
+            return False
         for i in range(family_horizon):
-            if all(mem(i, t) for t in elements):
+            if cover >> i & 1:
                 for t in range(element_horizon):
                     if not mem(i, t):
                         families.append(i)
                         elements.append(t)
-                        if extend():
+                        if extend(cover & contains(t), need - 1):
                             return True
                         families.pop()
                         elements.pop()
+        dead.add((cover, need))
         return False
 
     for t0 in range(element_horizon):
         elements = [t0]
-        families = []
-        if extend():
+        if extend(contains(t0), k):
             return ElasticityChain(tuple(elements), tuple(families))
     return None

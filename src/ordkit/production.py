@@ -36,9 +36,6 @@ class ProductionSequence:
     def __len__(self):
         return len(self.steps)
 
-    def examples(self) -> tuple[Atom, ...]:
-        return tuple(t for t, _ in self.steps)
-
 
 def is_production_sequence(
     system: SetSystem, seq: ProductionSequence | Sequence[tuple[Atom, Iterable[Atom]]]

@@ -41,10 +41,6 @@ class RamseyQuery:
     def __post_init__(self):
         _validate(self.clique_sizes)
 
-    @property
-    def colors(self) -> int:
-        return len(self.clique_sizes)
-
 
 def _query(sizes) -> RamseyQuery:
     if isinstance(sizes, RamseyQuery):

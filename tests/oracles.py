@@ -9,7 +9,16 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from ordkit import QuasiOrder, SetSystem, dim, ew_union, leaf, mk_system, ramsey
+from ordkit import (
+    QuasiOrder,
+    SetSystem,
+    atom_to_json,
+    dim,
+    ew_union,
+    leaf,
+    mk_system,
+    ramsey,
+)
 
 
 def nats(n: int) -> tuple:
@@ -21,11 +30,27 @@ def system(universe_size: int, *sets: tuple) -> SetSystem:
     return mk_system(u, [tuple(u[i] for i in s) for s in sets])
 
 
+def atom_key(obj) -> tuple:
+    """The canonical sort key of an atom, rebuilt from its JSON form: the
+    shape rank (leaf, pair, tag, word, finset) first, then the contents, with
+    a finset's elements as their sorted distinct keys."""
+    if isinstance(obj, str):
+        return (0, obj)
+    ((kind, body),) = obj.items()
+    if kind == "pair":
+        return (1, atom_key(body[0]), atom_key(body[1]))
+    if kind == "tag":
+        return (2, atom_key(body[0]), body[1])
+    if kind == "word":
+        return (3, tuple(body))
+    return (4, tuple(sorted({atom_key(a) for a in body})))
+
+
 def canonical_reference(universe, members) -> tuple[tuple, tuple, tuple]:
     """The atom-key canonical form: sorted universe, sorted support, and the
     distinct members as sorted atom tuples, ordered by their atom keys."""
     canon = {tuple(sorted(set(m))) for m in members}
-    ordered = sorted(canon, key=lambda m: tuple(a._key for a in m))
+    ordered = sorted(canon, key=lambda m: tuple(atom_key(atom_to_json(a)) for a in m))
     support = sorted(set().union(*canon))
     return tuple(sorted(set(universe))), tuple(support), tuple(ordered)
 
@@ -186,3 +211,33 @@ def union_bound_reference(*systems: SetSystem) -> dict:
     return ramsey.BoundReport(
         "dim(union)+1 < Ram(dims+2)", union_dim + 1, rhs, kind, union_dim + 1 < rhs, detail
     ).to_json()
+
+
+def elasticity_chain_reference(family, k: int, element_horizon: int, family_horizon: int):
+    """The unmemoised depth-first chain search, in the same index order:
+    for each t_0, each family holding every element so far, then each
+    element outside it.  Returns ``(elements, families)`` or None."""
+    elements: list[int] = []
+    families: list[int] = []
+
+    def extend() -> bool:
+        if len(families) == k:
+            return True
+        for i in range(family_horizon):
+            if all(family.member_index(i, t) for t in elements):
+                for t in range(element_horizon):
+                    if not family.member_index(i, t):
+                        families.append(i)
+                        elements.append(t)
+                        if extend():
+                            return True
+                        families.pop()
+                        elements.pop()
+        return False
+
+    for t0 in range(element_horizon):
+        elements = [t0]
+        families = []
+        if extend():
+            return tuple(elements), tuple(families)
+    return None

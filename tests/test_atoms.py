@@ -7,6 +7,8 @@ from hypothesis import given
 from ordkit import atom_from_json, atom_to_json, finset, leaf, pair, tagged, word
 from ordkit.errors import InputError
 
+from .oracles import atom_key
+
 tokens = st.sampled_from(["a", "b", "c"])
 
 atoms = st.recursive(
@@ -30,6 +32,24 @@ def test_total_order_trichotomy(a, b):
 def test_order_transitive(a, b, c):
     x, y, z = sorted([a, b, c])
     assert x <= y <= z and x <= z
+
+
+@given(st.lists(atoms, max_size=8))
+def test_order_and_equality_are_the_canonical_key(items):
+    def key(a):
+        return atom_key(atom_to_json(a))
+
+    assert sorted(items) == sorted(items, key=key)
+    for a in items:
+        for b in items:
+            assert (a == b) == (key(a) == key(b))
+
+
+def test_atom_equals_the_plain_tuple_of_its_contents():
+    assert leaf("a") == (0, "a") and hash(leaf("a")) == hash((0, "a"))
+    assert leaf("a") != "a"
+    assert pair(leaf("a"), leaf("b")) == (1, (0, "a"), (0, "b"))
+    assert json.dumps(finset([leaf("b"), leaf("a")])) == '[4, [[0, "a"], [0, "b"]]]'
 
 
 @given(atoms)

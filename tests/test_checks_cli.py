@@ -235,19 +235,28 @@ def test_lang_and_chain_commands(runner, tmp_path):
     assert json.loads(result.output) == {"found": False}
 
 
+def strip_ms(output):
+    reports = json.loads(output)
+    for r in reports:
+        r.pop("ms")
+    return json.dumps(reports, sort_keys=True)
+
+
 def test_check_command_and_determinism(runner):
     args = ["--json", "--trials", "40", "--max-size", "2", "check", "repre"]
     first = runner.invoke(main, args)
     second = runner.invoke(main, args)
     assert first.exit_code == 0 and second.exit_code == 0
-
-    def strip_ms(output):
-        reports = json.loads(output)
-        for r in reports:
-            r.pop("ms")
-        return json.dumps(reports, sort_keys=True)
-
     assert strip_ms(first.output) == strip_ms(second.output)
+
+
+@pytest.mark.parametrize("suite", ["repre", "qo-roundtrip"])
+def test_isomorphism_class_suites_cap_max_size_at_5(runner, suite):
+    # the up-to-isomorphism enumerator tries n! relabellings per quasi-order
+    capped = runner.invoke(main, ["--json", "check", suite, "--trials", "0", "--max-size", "30"])
+    at_cap = runner.invoke(main, ["--json", "check", suite, "--trials", "0", "--max-size", "5"])
+    assert capped.exit_code == 0 and at_cap.exit_code == 0
+    assert strip_ms(capped.output) == strip_ms(at_cap.output)
 
 
 def test_check_exit_code_contract(runner):

@@ -32,7 +32,7 @@ from ordkit.errors import (
 )
 from ordkit.lang import LANG_WORD_BOUND, ElasticityChain, all_words, fragment_from_json
 
-from .oracles import shuffle_by_positions
+from .oracles import elasticity_chain_reference, shuffle_by_positions
 
 
 def test_shuffle_words_base_cases():
@@ -244,6 +244,19 @@ def test_elasticity_chain_answers_impossible_lengths_without_search():
     chain = elasticity_chain(counted, 4, element_horizon=5, family_horizon=4)
     assert chain == ElasticityChain((0, 1, 2, 3, 4), (0, 1, 2, 3))
     assert calls
+
+
+@pytest.mark.parametrize("name", ["singl", "dcl", "cosingl", "arith_prog"])
+@pytest.mark.parametrize("transform", [None, "complement", "down_closure"])
+def test_elasticity_chain_matches_the_unmemoised_search(name, transform):
+    family = canonical_family(name)
+    if transform is not None:
+        family = family_transform(transform, family, element_horizon=24)
+    for horizon in (12, 24):
+        for k in range(1, 5):
+            chain = elasticity_chain(family, k, element_horizon=horizon, family_horizon=horizon)
+            got = None if chain is None else (chain.elements, chain.families)
+            assert got == elasticity_chain_reference(family, k, horizon, horizon)
 
 
 def test_validator_rejects_corrupt_chain():
