@@ -1,16 +1,16 @@
 """Command-line front end: JSON in, results or check reports out.
 
 Exit codes: 0 success, 1 a check suite reported failures, 2 malformed
-input (the diagnostic names the offending JSON path), 3 an internal error
+input (the diagnostic names the offending JSON path) or a usage error
+(argparse's ``usage:`` line and the error on stderr), 3 an internal error
 (any exception the library did not raise on purpose).
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
-
-import click
+import sys
 
 from . import checks as checks_mod
 from . import kernels
@@ -65,30 +65,8 @@ def _load(path: str):
         raise OrdkitError(f"{path}: JSON nested too deeply to parse")
 
 
-def _emit(ctx, payload, human: str):
-    if ctx.obj["json"]:
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        click.echo(human)
-
-
-@click.group()
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--trials", type=int, default=500, show_default=True)
-@click.option("--max-size", type=int, default=None)
-@click.option("--strict", is_flag=True, help="reject relations that are not closed")
-@click.pass_context
-def main(ctx, as_json, seed, trials, max_size, strict):
-    """Order types of set systems and quasi-orders, traces, and theorem checks."""
-    try:
-        _check_limits(trials, max_size)
-    except OrdkitError as exc:
-        _fail_input(ctx, exc)
-    ctx.ensure_object(dict)
-    ctx.obj.update(
-        json=as_json, seed=seed, trials=trials, max_size=max_size, strict=strict
-    )
+def _emit(args, payload, human: str):
+    print(json.dumps(payload, sort_keys=True) if args.json else human)
 
 
 def _check_limits(trials, max_size):
@@ -99,97 +77,90 @@ def _check_limits(trials, max_size):
         raise InvalidQuery(f"--max-size must be at least 1, got {max_size}")
 
 
-def _fail_input(ctx, exc):
-    click.echo(f"error: {exc}", err=True)
-    ctx.exit(2)
-
-
-_json_opt = click.option(
-    "--json", "local_json", is_flag=True, help="machine-readable output"
+_PARSER = argparse.ArgumentParser(
+    prog="ordkit",
+    description="Order types of set systems and quasi-orders, traces, and theorem checks.",
+    allow_abbrev=False,
 )
+_PARSER.add_argument("--json", action="store_true", help="machine-readable output")
+_PARSER.add_argument("--seed", type=int, default=42, help="check seed (default: %(default)s)")
+_PARSER.add_argument("--trials", type=int, default=500, help="check trials (default: %(default)s)")
+_PARSER.add_argument("--max-size", type=int, help="check size cap")
+_PARSER.add_argument("--strict", action="store_true", help="reject relations that are not closed")
+_COMMANDS = _PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
 
-def _wrap(fn):
-    """Convert library errors into exit code 2 with a diagnostic, and any
-    other exception into exit code 3; click's own exits pass through."""
-
-    @functools.wraps(fn)
-    def runner(ctx, *args, **kwargs):
-        if kwargs.pop("local_json", False):
-            ctx.obj["json"] = True
-        try:
-            return fn(ctx, *args, **kwargs)
-        except OrdkitError as exc:
-            _fail_input(ctx, exc)
-        except (click.exceptions.Exit, click.Abort, click.ClickException):
-            raise
-        except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            ctx.exit(3)
-
-    return runner
+def _arg(*names, **options):
+    """The arguments of one ``add_argument`` call, for ``_command``."""
+    return names, options
 
 
-@main.command("dim")
-@click.argument("system_file")
-@click.option("--witness", is_flag=True)
-@click.option("--max-universe", type=int, default=16, show_default=True)
-@_json_opt
-@click.pass_context
-@_wrap
-def dim_cmd(ctx, system_file, witness, max_universe):
+def _command(name: str, *arguments):
+    """Register the decorated ``fn(args)`` as the subcommand ``name``, with
+    ``arguments`` and a local ``--json``; its docstring is the help text."""
+
+    def register(fn):
+        sub = _COMMANDS.add_parser(
+            name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False
+        )
+        for names, options in arguments:
+            sub.add_argument(*names, **options)
+        sub.add_argument(
+            "--json", dest="local_json", action="store_true", help="machine-readable output"
+        )
+        sub.set_defaults(run=fn)
+        return fn
+
+    return register
+
+
+@_command(
+    "dim",
+    _arg("system_file", metavar="SYSTEM_FILE"),
+    _arg("--witness", action="store_true"),
+    _arg("--max-universe", type=int, default=16, help="(default: %(default)s)"),
+)
+def dim_cmd(args):
     """Order type of the set system in SYSTEM_FILE."""
-    system = system_from_json(_load(system_file))
-    if len(system.support) > max_universe:
+    system = system_from_json(_load(args.system_file))
+    if len(system.support) > args.max_universe:
         raise OrdkitError(
             f"support has {len(system.support)} elements; raise --max-universe"
         )
     value = dim(system)
     payload = {"dim": value}
     lines = [str(value)]
-    if witness:
+    if args.witness:
         seq = longest_production_sequence(system)
         payload["witness"] = [
             {"example": atom_to_json(t), "hypothesis": [atom_to_json(a) for a in h]}
             for t, h in seq.steps
         ]
         lines += [f"  {t!r} -> {list(h)!r}" for t, h in seq.steps]
-    _emit(ctx, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
 
 
-@main.command("otp")
-@click.argument("qo_file")
-@_json_opt
-@click.pass_context
-@_wrap
-def otp_cmd(ctx, qo_file):
+@_command("otp", _arg("qo_file", metavar="QO_FILE"))
+def otp_cmd(args):
     """Order type of the quasi-order in QO_FILE."""
-    value = otp(qo_from_json(_load(qo_file), strict=ctx.obj["strict"]))
-    _emit(ctx, {"otp": value}, str(value))
+    value = otp(qo_from_json(_load(args.qo_file), strict=args.strict))
+    _emit(args, {"otp": value}, str(value))
 
 
-@main.command("ss")
-@click.argument("qo_file")
-@_json_opt
-@click.pass_context
-@_wrap
-def ss_cmd(ctx, qo_file):
+@_command("ss", _arg("qo_file", metavar="QO_FILE"))
+def ss_cmd(args):
     """System of upward-closed subsets of the quasi-order."""
-    qo = qo_from_json(_load(qo_file), strict=ctx.obj["strict"])
+    qo = qo_from_json(_load(args.qo_file), strict=args.strict)
     system = ss(qo)
-    _emit(ctx, system.to_json(), repr(system))
+    _emit(args, system.to_json(), repr(system))
 
 
-@main.command("qo")
-@click.argument("system_file")
-@_json_opt
-@click.pass_context
-@_wrap
-def qo_cmd(ctx, system_file):
+@_command("qo", _arg("system_file", metavar="SYSTEM_FILE"))
+def qo_cmd(args):
     """Quasi-order induced by the set system."""
-    system = system_from_json(_load(system_file))
+    system = system_from_json(_load(args.system_file))
     q = qo_of(system)
-    _emit(ctx, q.to_json(), repr(q))
+    _emit(args, q.to_json(), repr(q))
 
 
 _OPS = {
@@ -203,30 +174,30 @@ _OPS = {
 }
 
 
-@main.command("op")
-@click.argument("kind", type=click.Choice(sorted(_OPS)))
-@click.argument("system_files", nargs=-1, required=True)
-@_json_opt
-@click.pass_context
-@_wrap
-def op_cmd(ctx, kind, system_files):
+@_command(
+    "op",
+    _arg("kind", choices=sorted(_OPS)),
+    _arg("system_files", nargs="+", metavar="SYSTEM_FILE"),
+)
+def op_cmd(args):
     """Apply an elementwise or structural operation to set systems."""
+    kind, system_files = args.kind, args.system_files
     lo, hi, fn = _OPS[kind]
     if len(system_files) < lo or (hi is not None and len(system_files) > hi):
         raise InvalidQuery(f"op {kind} takes {lo if hi == lo else f'{lo}+'} operands")
     systems = [system_from_json(_load(f), path=f) for f in system_files]
     result = fn(*systems)
-    _emit(ctx, result.to_json(), repr(result))
+    _emit(args, result.to_json(), repr(result))
 
 
-@main.command("trace")
-@click.argument("kind", type=click.Choice(["apply", "image", "compose", "classify"]))
-@click.argument("files", nargs=-1, required=True)
-@_json_opt
-@click.pass_context
-@_wrap
-def trace_cmd(ctx, kind, files):
+@_command(
+    "trace",
+    _arg("kind", choices=["apply", "image", "compose", "classify"]),
+    _arg("files", nargs="+", metavar="FILE"),
+)
+def trace_cmd(args):
     """Evaluate, image, compose or classify traces."""
+    kind, files = args.kind, args.files
     if kind == "apply":
         if len(files) != 2:
             raise InvalidQuery("trace apply takes TRACE_FILE SET_FILE")
@@ -236,21 +207,21 @@ def trace_cmd(ctx, kind, files):
             raise InvalidQuery(f"{files[1]}: expected a JSON list of atoms")
         g = [atom_from_json(a, f"{files[1]}$[{i}]") for i, a in enumerate(raw)]
         out = sorted(trace_apply(trace, g))
-        _emit(ctx, [atom_to_json(a) for a in out], repr(out))
+        _emit(args, [atom_to_json(a) for a in out], repr(out))
     elif kind == "image":
         if len(files) != 2:
             raise InvalidQuery("trace image takes TRACE_FILE SYSTEM_FILE")
         trace = trace_from_json(_load(files[0]), path=files[0])
         system = system_from_json(_load(files[1]), path=files[1])
         result = direct_image(trace, system)
-        _emit(ctx, result.to_json(), repr(result))
+        _emit(args, result.to_json(), repr(result))
     elif kind == "compose":
         if len(files) != 2:
             raise InvalidQuery("trace compose takes OUTER_FILE INNER_FILE")
         outer = trace_from_json(_load(files[0]), path=files[0])
         inner = trace_from_json(_load(files[1]), path=files[1])
         result = compose(outer, inner)
-        _emit(ctx, result.to_json(), repr(result))
+        _emit(args, result.to_json(), repr(result))
     else:
         if len(files) != 1:
             raise InvalidQuery("trace classify takes TRACE_FILE")
@@ -261,27 +232,27 @@ def trace_cmd(ctx, kind, files):
             "branching_degree": branching_degree(trace),
         }
         _emit(
-            ctx,
+            args,
             payload,
             f"linear={payload['linear']} sequential={payload['sequential']} "
             f"branching={payload['branching_degree']}",
         )
 
 
-@main.command("ramsey")
-@click.argument("kind", type=click.Choice(["bound", "exact", "verify"]))
-@click.argument("numbers", nargs=-1, type=int, required=True)
-@_json_opt
-@click.pass_context
-@_wrap
-def ramsey_cmd(ctx, kind, numbers):
+@_command(
+    "ramsey",
+    _arg("kind", choices=["bound", "exact", "verify"]),
+    _arg("numbers", nargs="+", type=int, metavar="N"),
+)
+def ramsey_cmd(args):
     """Ramsey bounds, table lookups, and exhaustive verification."""
+    kind, numbers = args.kind, args.numbers
     if kind == "bound":
         value = ram_upper(numbers)
-        _emit(ctx, {"upper": value}, str(value))
+        _emit(args, {"upper": value}, str(value))
     elif kind == "exact":
         value = ram_exact(numbers)
-        _emit(ctx, {"exact": value}, "unknown" if value is None else str(value))
+        _emit(args, {"exact": value}, "unknown" if value is None else str(value))
     else:
         if len(numbers) != 3:
             raise InvalidQuery("ramsey verify takes L1 L2 N")
@@ -292,21 +263,21 @@ def ramsey_cmd(ctx, kind, numbers):
                 {"edge": list(e), "color": c} for e, c in result.witness
             ]
         human = "holds" if result.holds_at_n else "fails (witness coloring found)"
-        _emit(ctx, payload, human)
+        _emit(args, payload, human)
 
 
-@main.command("lang")
-@click.argument("kind", type=click.Choice(["star", "plus", "shuffle", "closure", "half"]))
-@click.argument("files", nargs=-1, required=True)
-@click.option("--max-len", type=int, default=None)
-@_json_opt
-@click.pass_context
-@_wrap
-def lang_cmd(ctx, kind, files, max_len):
+@_command(
+    "lang",
+    _arg("kind", choices=["star", "plus", "shuffle", "closure", "half"]),
+    _arg("files", nargs="+", metavar="FRAGMENT_FILE"),
+    _arg("--max-len", type=int),
+)
+def lang_cmd(args):
     """Bounded closures, shuffle products and the halving operator."""
+    kind, max_len = args.kind, args.max_len
     if max_len is not None and kind in ("shuffle", "half"):
         raise InvalidQuery(f"--max-len applies to star, plus and closure, not to {kind}")
-    frags = [fragment_from_json(_load(f), path=f) for f in files]
+    frags = [fragment_from_json(_load(f), path=f) for f in args.files]
     if kind == "shuffle":
         if len(frags) != 2:
             raise InvalidQuery("lang shuffle takes two fragment files")
@@ -322,82 +293,99 @@ def lang_cmd(ctx, kind, files, max_len):
         closure_kind = {"star": "star", "plus": "plus", "closure": "shuffle_closure"}[kind]
         result = closure_bounded(frags[0], closure_kind, bound)
     words = " ".join(w if w else "ε" for w in sorted(result.words))
-    _emit(ctx, result.to_json(), words or "(empty)")
+    _emit(args, result.to_json(), words or "(empty)")
 
 
-@main.command("chain")
-@click.option("--family", required=True,
-              type=click.Choice(["singl", "dcl", "cosingl", "arith_prog"]))
-@click.option("--length", type=int, required=True)
-@click.option("--element-horizon", type=int, default=64, show_default=True)
-@click.option("--family-horizon", type=int, default=64, show_default=True)
-@_json_opt
-@click.pass_context
-@_wrap
-def chain_cmd(ctx, family, length, element_horizon, family_horizon):
+@_command(
+    "chain",
+    _arg("--family", required=True, choices=["singl", "dcl", "cosingl", "arith_prog"]),
+    _arg("--length", type=int, required=True),
+    _arg("--element-horizon", type=int, default=64, help="(default: %(default)s)"),
+    _arg("--family-horizon", type=int, default=64, help="(default: %(default)s)"),
+)
+def chain_cmd(args):
     """Search for an elasticity chain of the given length."""
-    fam = canonical_family(family)
+    fam = canonical_family(args.family)
     chain = elasticity_chain(
-        fam, length, element_horizon=element_horizon, family_horizon=family_horizon
+        fam,
+        args.length,
+        element_horizon=args.element_horizon,
+        family_horizon=args.family_horizon,
     )
     if chain is None:
-        _emit(ctx, {"found": False}, "none found within the horizons")
+        _emit(args, {"found": False}, "none found within the horizons")
         return
     assert validate_chain(fam, chain)
     payload = {"found": True, **chain.to_json()}
     _emit(
-        ctx,
+        args,
         payload,
         f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}",
     )
 
 
-@main.command("check")
-@click.argument(
-    "suite",
-    type=click.Choice(sorted(checks_mod.SUITES) + ["all"]),
+@_command(
+    "check",
+    _arg("suite", choices=sorted(checks_mod.SUITES) + ["all"]),
+    # own dests: argparse copies a subcommand's defaults over the global values
+    _arg("--seed", dest="check_seed", metavar="SEED", type=int, help="override the global seed"),
+    _arg("--trials", dest="check_trials", metavar="TRIALS", type=int,
+         help="override the global trials"),
+    _arg("--max-size", dest="check_max_size", metavar="MAX_SIZE", type=int,
+         help="override the global size cap"),
 )
-@click.option("--seed", type=int, default=None, help="override the global seed")
-@click.option("--trials", type=int, default=None, help="override the global trials")
-@click.option("--max-size", type=int, default=None, help="override the global size cap")
-@_json_opt
-@click.pass_context
-@_wrap
-def check_cmd(ctx, suite, seed, trials, max_size):
+def check_cmd(args):
     """Run a theorem-check suite; exit 1 when any property fails."""
-    _check_limits(trials, max_size)
+    _check_limits(args.check_trials, args.check_max_size)
     reports = checks_mod.run_suite(
-        suite,
-        seed=ctx.obj["seed"] if seed is None else seed,
-        trials=ctx.obj["trials"] if trials is None else trials,
-        max_size=ctx.obj["max_size"] if max_size is None else max_size,
+        args.suite,
+        seed=args.seed if args.check_seed is None else args.check_seed,
+        trials=args.trials if args.check_trials is None else args.check_trials,
+        max_size=args.max_size if args.check_max_size is None else args.check_max_size,
     )
-    failed = False
-    if ctx.obj["json"]:
-        click.echo(json.dumps([r.to_json() for r in reports], sort_keys=True))
-        failed = any(not r.ok for r in reports)
+    if args.json:
+        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
     else:
         for r in reports:
             status = "ok" if r.ok else f"{len(r.failures)} FAILURES"
-            click.echo(f"[{status}] {r.suite} ({r.ms:.0f} ms)")
+            print(f"[{status}] {r.suite} ({r.ms:.0f} ms)")
             for prop in r.properties:
-                click.echo(f"    checks: {prop}")
+                print(f"    checks: {prop}")
             for f in r.failures[:5]:
-                click.echo(f"    FAIL {f['property']}: {f['values']}")
-            if not r.ok:
-                failed = True
-    if failed:
-        ctx.exit(1)
+                print(f"    FAIL {f['property']}: {f['values']}")
+    return 1 if any(not r.ok for r in reports) else None
 
 
-@main.command("info")
-@_json_opt
-@click.pass_context
-@_wrap
-def info_cmd(ctx):
+@_command("info")
+def info_cmd(args):
     """Kernel lane in use."""
-    _emit(ctx, {"backend": kernels.BACKEND}, f"backend: {kernels.BACKEND}")
+    _emit(args, {"backend": kernels.BACKEND}, f"backend: {kernels.BACKEND}")
+
+
+def main(args=None, standalone_mode=True):
+    """Run one ``ordkit`` command line (``sys.argv[1:]`` when ``args`` is None).
+
+    With ``standalone_mode`` the process exits with the code; otherwise
+    the code is returned: None on success, else 1, 2 or 3 as above (an
+    argparse usage error gives 2, ``--help`` gives 0).
+    """
+    try:
+        ns = _PARSER.parse_args(args)
+        ns.json = ns.json or ns.local_json
+        _check_limits(ns.trials, ns.max_size)
+        code = ns.run(ns)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        code = exc.code
+    except OrdkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":
-    main(prog_name="ordkit")
+    main()

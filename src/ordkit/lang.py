@@ -259,7 +259,7 @@ def _unpair(k: int) -> tuple[int, int]:
     return r, t - r + 1
 
 
-def canonical_family(name: str, params: Optional[dict] = None) -> LazyFamily:
+def canonical_family(name: str) -> LazyFamily:
     """The classic indexed families over the naturals, by name."""
     if name == "singl":
         return LazyFamily("singletons {x}", lambda i, n: n == i)

@@ -2,11 +2,11 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
 
 from ordkit.checks import run_suite
 from ordkit.cli import main
 
+from .clirun import CliRunner
 from .oracles import system
 
 
@@ -400,3 +400,55 @@ def test_info_reports_lane(runner):
     result = runner.invoke(main, ["info"])
     assert result.exit_code == 0
     assert result.stdout == "backend: python\n"
+
+
+def test_main_returns_its_exit_code_without_standalone_mode(monkeypatch, tmp_path, capsys):
+    from ordkit import kernels
+
+    assert main(["--json", "info"], standalone_mode=False) is None
+    assert main(["dim", str(tmp_path / "missing.json")], standalone_mode=False) == 2
+    assert main(["dim"], standalone_mode=False) == 2
+    assert main(["--help"], standalone_mode=False) == 0
+    search = kernels.bad_sequence_rank
+    monkeypatch.setattr(kernels, "bad_sequence_rank", lambda up: search(up) + 1)
+    argv = ["--trials", "5", "--max-size", "2", "check", "repre"]
+    assert main(argv, standalone_mode=False) == 1
+
+    def broken(qo):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ordkit.cli.otp", broken)
+    qo_path = tmp_path / "chain.json"
+    qo_path.write_text(json.dumps({"elements": ["0", "1"], "le": [["0", "1"]]}))
+    assert main(["otp", str(qo_path)], standalone_mode=False) == 3
+    assert capsys.readouterr().err.endswith("internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["dim"],
+        ["--trials", "x", "info"],
+        ["op", "frobnicate", "a.json"],
+        ["dim", "a.json", "--wit"],
+        [],
+    ],
+    ids=["unknown-command", "missing-positional", "bad-int", "bad-choice", "abbreviation",
+         "no-command"],
+)
+def test_usage_errors_exit_2(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ordkit")
+    assert "Traceback" not in result.output
+
+
+def test_help_shows_the_defaults(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert "(default: 42)" in result.stdout and "(default: 500)" in result.stdout
+    result = runner.invoke(main, ["dim", "--help"])
+    assert result.exit_code == 0
+    assert "(default: 16)" in result.stdout

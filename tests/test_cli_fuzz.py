@@ -11,10 +11,11 @@ traceback.
 
 import json
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from ordkit.cli import main
+
+from .clirun import CliRunner
 
 _KEYS = ("universe", "sets", "elements", "le", "source_field", "target_field",
          "pairs", "x", "v", "alphabet", "max_len", "words", "exact_up_to",

@@ -5,7 +5,6 @@ import tracemalloc
 from functools import lru_cache
 
 import pytest
-from click.testing import CliRunner
 
 from ordkit import (
     check_image_bound,
@@ -31,6 +30,7 @@ from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded, Un
 from ordkit.generators import all_systems, random_system
 from ordkit.systems import MEMBER_BOUND
 
+from .clirun import CliRunner
 from .oracles import (
     has_mono_clique,
     nats,
