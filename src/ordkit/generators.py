@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .atoms import Atom, leaf
 from .orders import QuasiOrder, Simulation, _closure
-from .systems import SetSystem, _canonical
+from .systems import SetSystem, _canonical, _remap
 from .traces import Trace, mk_trace
 
 DIGITS = tuple(leaf(str(i)) for i in range(10))
@@ -66,36 +66,26 @@ def all_quasi_orders(n: int) -> Iterator[QuasiOrder]:
         yield QuasiOrder(elems, rows)
 
 
-def preorder_canonical_key(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal row encoding over all relabelings; equal keys = isomorphic."""
-    n = len(rows)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        permuted = [0] * n
-        for i in range(n):
-            row = rows[i]
-            new_row = 0
-            bits = row
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                new_row |= 1 << perm[b.bit_length() - 1]
-            permuted[perm[i]] = new_row
-        key = tuple(permuted)
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
-
-
 def quasi_orders_up_to_iso(n: int) -> list[QuasiOrder]:
+    """One quasi-order per isomorphism class: the first of its class in
+    ``all_preorder_rows`` order.
+
+    Each kept order marks its whole orbit, all n! relabellings, as seen, so
+    only the kept orders are relabelled (139 of the 6,942 orders at n = 5).
+    """
     elems = nat_atoms(n)
     seen: set[tuple[int, ...]] = set()
     out = []
     for rows in all_preorder_rows(n):
-        key = preorder_canonical_key(rows)
-        if key not in seen:
-            seen.add(key)
-            out.append(QuasiOrder(elems, rows))
+        if rows in seen:
+            continue
+        out.append(QuasiOrder(elems, rows))
+        for perm in itertools.permutations(range(n)):
+            table = [1 << p for p in perm]
+            relabelled = [0] * n
+            for i, row in enumerate(rows):
+                relabelled[perm[i]] = _remap(row, table)
+            seen.add(tuple(relabelled))
     return out
 
 

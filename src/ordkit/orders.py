@@ -75,22 +75,12 @@ class QuasiOrder:
 
 
 def _closure(rows: list[int], n: int) -> list[int]:
-    rows = list(rows)
-    for i in range(n):
-        rows[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
+    """The reflexive-transitive closure of the relation ``rows``, by Warshall."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(n):
         for i in range(n):
-            acc = rows[i]
-            bits = acc
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                acc |= rows[b.bit_length() - 1]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
     return rows
 
 

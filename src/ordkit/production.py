@@ -84,6 +84,26 @@ def dim(system: SetSystem) -> int:
     return _dim_cached(masks, support_mask)
 
 
+def _extension(
+    masks: tuple[int, ...], support_mask: int, seen: int, hyp: int, rank: int
+) -> tuple[int, int]:
+    """The first example bit ``t`` and member ``mask`` that extend a sequence
+    with examples ``seen`` and last hypothesis ``hyp`` to a state of ``rank``.
+
+    Members are scanned in canonical order and must hold every example so
+    far; examples are the member's bits outside ``hyp``, ascending."""
+    for mask in masks:
+        if seen & ~mask:
+            continue
+        bits = mask & ~hyp
+        while bits:
+            t = bits & -bits
+            bits ^= t
+            if kernels.production_state_rank(masks, support_mask, seen | t, mask) == rank:
+                return t, mask
+    raise AssertionError("rank bookkeeping must always yield an extension")
+
+
 def longest_production_sequence(system: SetSystem) -> ProductionSequence:
     """A witness sequence of length dim(system); empty when the dimension is 0.
 
@@ -92,40 +112,13 @@ def longest_production_sequence(system: SetSystem) -> ProductionSequence:
     """
     support, masks = system.masks()
     support_mask = (1 << len(support)) - 1
-    total = _dim_cached(masks, support_mask)
-    if total == 0:
-        return ProductionSequence(())
-
-    def member_atoms(mask: int) -> tuple[Atom, ...]:
-        return tuple(a for i, a in enumerate(support) if mask >> i & 1)
-
     steps: list[tuple[Atom, tuple[Atom, ...]]] = []
     seen = 0
     hyp = 0
-    remaining = total
-    for step in range(total):
-        found = False
-        candidates = support_mask & ~hyp if step else support_mask
-        for mask in masks:
-            if found:
-                break
-            avail = candidates & mask if step == 0 else candidates
-            bits = avail
-            while bits:
-                t = bits & -bits
-                bits ^= t
-                need = seen | t
-                if need & ~mask:
-                    continue
-                r = kernels.production_state_rank(masks, support_mask, need, mask)
-                if 1 + r == remaining:
-                    steps.append(
-                        (support[t.bit_length() - 1], member_atoms(mask))
-                    )
-                    seen = need
-                    hyp = mask
-                    remaining -= 1
-                    found = True
-                    break
-        assert found, "rank bookkeeping must always yield an extension"
+    for rank in reversed(range(_dim_cached(masks, support_mask))):
+        t, hyp = _extension(masks, support_mask, seen, hyp, rank)
+        seen |= t
+        steps.append(
+            (support[t.bit_length() - 1], tuple(a for i, a in enumerate(support) if hyp >> i & 1))
+        )
     return ProductionSequence(tuple(steps))

@@ -28,7 +28,7 @@ from .errors import (
     UniverseTooLarge,
 )
 from .orders import QuasiOrder, Simulation, is_simulation
-from .systems import SetSystem, _system
+from .systems import SetSystem, _system, ew_disjoint, tagged_union
 
 TracePairs = frozenset[tuple[Atom, frozenset[Atom]]]
 
@@ -270,8 +270,6 @@ def qo_functor(trace: Trace, source_qo: QuasiOrder, target_qo: QuasiOrder) -> Si
 
 def coproduct(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
     """Tagged-union carrier plus one injection trace per operand."""
-    from .systems import tagged_union
-
     if not systems:
         raise EmptyOperandList("coproduct needs at least one operand")
     carrier = tagged_union(*systems)
@@ -284,8 +282,6 @@ def coproduct(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
 
 def product(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
     """Tagged disjoint-union carrier plus one projection trace per operand."""
-    from .systems import ew_disjoint
-
     if not systems:
         raise EmptyOperandList("product needs at least one operand")
     carrier = ew_disjoint(*systems)

@@ -19,6 +19,7 @@ from ordkit import (
     mk_system,
     ramsey,
 )
+from ordkit.generators import all_preorder_rows
 
 
 def nats(n: int) -> tuple:
@@ -53,6 +54,25 @@ def canonical_reference(universe, members) -> tuple[tuple, tuple, tuple]:
     ordered = sorted(canon, key=lambda m: tuple(atom_key(atom_to_json(a)) for a in m))
     support = sorted(set().union(*canon))
     return tuple(sorted(set(universe))), tuple(support), tuple(ordered)
+
+
+def iso_classes_reference(n: int) -> list[tuple[int, ...]]:
+    """The rows of the first labelled quasi-order of each isomorphism class,
+    in enumeration order: every labelled order is keyed by its least row
+    encoding over all n! relabellings, and equal keys mean isomorphic."""
+    relabellings = []
+    for perm in itertools.permutations(range(n)):
+        image = [sum(1 << perm[j] for j in range(n) if row >> j & 1) for row in range(1 << n)]
+        inverse = sorted(range(n), key=perm.__getitem__)
+        relabellings.append((image, inverse))
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for rows in all_preorder_rows(n):
+        key = min(tuple([image[rows[i]] for i in inverse]) for image, inverse in relabellings)
+        if key not in seen:
+            seen.add(key)
+            out.append(rows)
+    return out
 
 
 def qo_of_reference(system: SetSystem) -> QuasiOrder:

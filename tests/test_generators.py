@@ -8,14 +8,22 @@ from ordkit.generators import (
     random_system,
 )
 
+from .oracles import iso_classes_reference
+
 
 def test_preorder_counts_match_known_sequences():
     # reflexive transitive relations on n labeled points, n = 0..4
     for n, expect in enumerate([1, 1, 4, 29, 355]):
         assert sum(1 for _ in all_preorder_rows(n)) == expect
-    # and up to relabeling
-    for n, expect in enumerate([1, 1, 3, 9, 33]):
+    # and up to relabeling (OEIS A001930)
+    for n, expect in enumerate([1, 1, 3, 9, 33, 139]):
         assert len(quasi_orders_up_to_iso(n)) == expect
+
+
+def test_iso_classes_match_the_keyed_reference():
+    # the first order of each class, in enumeration order
+    for n in range(6):
+        assert [q.up for q in quasi_orders_up_to_iso(n)] == iso_classes_reference(n)
 
 
 def test_all_preorders_are_closed():

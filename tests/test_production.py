@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -98,6 +99,19 @@ def test_witness_length_equals_dim():
         s = random_system(rng, 4, 6)
         w = longest_production_sequence(s)
         assert len(w) == dim(s) and is_production_sequence(s, w)
+
+
+def test_witnesses_match_the_recorded_digest():
+    # sha256 of every witness's steps, recorded at 04d4333
+    digest = hashlib.sha256()
+    for n in range(4):
+        for s in all_systems(n):
+            digest.update(repr(longest_production_sequence(s).steps).encode())
+    rng = random.Random(5)
+    for _ in range(3000):
+        s = random_system(rng, 5, 10)
+        digest.update(repr(longest_production_sequence(s).steps).encode())
+    assert digest.hexdigest() == "cebeda031f0878fad2d20e97c8f7f2754836c54ea90b022f7e33defc595d9a88"
 
 
 def test_product_and_intersection_bounds():
