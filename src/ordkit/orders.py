@@ -179,20 +179,38 @@ def upset(atoms: Iterable[Atom], qo: QuasiOrder) -> tuple[Atom, ...]:
 
 
 def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
-    """The system of all upward-closed subsets (a 2**n scan; bounded)."""
+    """The system of all upward-closed subsets (bounded).
+
+    A binary search tree decides the elements lowest index first: putting
+    element i in adds everything above it, ``up[i]``, and leaving it out
+    removes everything below it.  What is decided in stays up-closed and
+    what is decided out down-closed, so no branch is ever dead, every leaf
+    is a distinct up-set, and the cost is O(n) per up-set, with no scan of
+    all 2**n subsets.
+    """
     n = len(qo.elements)
     if n > max_elements:
         raise UniverseTooLarge(n, max_elements)
-    members = []
-    for u in range(1 << n):
-        closure = 0
-        bits = u
+    up = qo.up
+    down = [0] * n
+    for i, row in enumerate(up):
+        bits = row
         while bits:
             b = bits & -bits
             bits ^= b
-            closure |= qo.up[b.bit_length() - 1]
-        if closure | u == u:
-            members.append(u)
+            down[b.bit_length() - 1] |= 1 << i
+    full = (1 << n) - 1
+    members = []
+    stack = [(0, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        free = full & ~(inside | outside)
+        if not free:
+            members.append(inside)
+            continue
+        i = (free & -free).bit_length() - 1
+        stack.append((inside | up[i], outside))
+        stack.append((inside, outside | down[i]))
     return _canonical(tuple(sorted(qo.elements)), qo.elements, members)
 
 
@@ -236,7 +254,12 @@ def is_coatomic_lattice(system: SetSystem) -> bool:
 
     A coatom is a nontop member C such that every nontop member either joins
     with C to the top or sits below C; the family is coatomic when every
-    nontop member lies below some coatom.
+    nontop member lies below some coatom.  In a family closed under union a
+    nontop member joins with C to a member, which is the top or C itself
+    exactly when no member lies strictly between C and the top: the coatoms
+    are the maximal nontop members (Birkhoff, "Rings of sets", Duke Math.
+    J. 3, 1937).  They are listed in one pass over the nontop members by
+    descending size, each kept when no coatom kept so far contains it.
     """
     members = system.member_masks
     if not members:
@@ -249,7 +272,10 @@ def is_coatomic_lattice(system: SetSystem) -> bool:
     if top not in fam:
         raise NotALattice("family has no top element")
     nontop = [m for m in members if m != top]
-    coatoms = [c for c in nontop if all(m | c in (top, c) for m in nontop)]
+    coatoms: list[int] = []
+    for m in sorted(nontop, key=int.bit_count, reverse=True):
+        if not any(m | c == c for c in coatoms):
+            coatoms.append(m)
     return all(any(m | c == c for c in coatoms) for m in nontop)
 
 

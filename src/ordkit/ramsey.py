@@ -10,13 +10,13 @@ never unverified literature numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded
-from .orders import QuasiOrder, intersect_qo, otp
+from .orders import QuasiOrder
 from .production import _mask_rank, dim
 from .systems import SetSystem, _pairwise_masks
 from .traces import Trace, branching_degree, direct_image
@@ -169,14 +169,15 @@ def _gate(sizes, detail: dict) -> tuple[int, str]:
     return rhs, kind
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
+    """One gate's verdict; a tuple, so it equals the plain tuple of its fields."""
+
     property: str
     lhs: int
     rhs: int
     rhs_kind: str  # "exact" or "upper-bound"
     holds: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_json(self):
         return {
@@ -270,11 +271,16 @@ def check_image_bound(
 
 
 def check_wqo_intersection_bound(a: QuasiOrder, b: QuasiOrder) -> BoundReport:
-    """otp(intersection) < Ram(otp(a)+1, otp(b)+1)."""
+    """otp(intersection) < Ram(otp(a)+1, otp(b)+1).
+
+    Each order type is a class count read from the up rows (see
+    ``orders.otp``), and the meet's rows are the pairwise ANDs of the two
+    carriers' rows, so the intersection is never built as a quasi-order.
+    """
     if a.elements != b.elements:
         raise CarrierMismatch("quasi-orders must share one carrier")
-    lhs = otp(intersect_qo(a, b))
-    sizes = (otp(a) + 1, otp(b) + 1)
+    lhs = len(set(map(int.__and__, a.up, b.up)))
+    sizes = (len(set(a.up)) + 1, len(set(b.up)) + 1)
     detail = {"otp_a": sizes[0] - 1, "otp_b": sizes[1] - 1}
     rhs, kind = _gate(sizes, detail)
     return BoundReport(

@@ -15,11 +15,16 @@ from ordkit import (
     atom_to_json,
     dim,
     ew_union,
+    intersect_qo,
     leaf,
+    mk_qo,
     mk_system,
+    otp,
     ramsey,
 )
+from ordkit.errors import CarrierMismatch, NotALattice
 from ordkit.generators import all_preorder_rows
+from ordkit.systems import _canonical
 
 
 def nats(n: int) -> tuple:
@@ -29,6 +34,13 @@ def nats(n: int) -> tuple:
 def system(universe_size: int, *sets: tuple) -> SetSystem:
     u = nats(universe_size)
     return mk_system(u, [tuple(u[i] for i in s) for s in sets])
+
+
+def random_qo(rng, n: int) -> QuasiOrder:
+    """A quasi-order on ``nats(n)`` generated by random pairs at a random density."""
+    u = nats(n)
+    density = rng.uniform(0.02, 0.35)
+    return mk_qo(u, [(x, y) for x in u for y in u if rng.random() < density])
 
 
 def atom_key(obj) -> tuple:
@@ -139,6 +151,41 @@ def upper_sets(qo: QuasiOrder) -> set[frozenset]:
     return out
 
 
+def ss_reference(qo: QuasiOrder) -> SetSystem:
+    """The up-set system by a scan of all 2**n subsets, keeping each subset
+    that holds the up row of every element in it."""
+    n = len(qo.elements)
+    members = []
+    for u in range(1 << n):
+        closure = 0
+        bits = u
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            closure |= qo.up[b.bit_length() - 1]
+        if closure | u == u:
+            members.append(u)
+    return _canonical(tuple(sorted(qo.elements)), qo.elements, members)
+
+
+def coatomic_reference(system: SetSystem) -> bool:
+    """Coatomicity with each coatom tested against every nontop member:
+    C is a coatom when every nontop member joins with C to the top or to C."""
+    members = system.member_masks
+    if not members:
+        raise NotALattice("the family has no members")
+    fam = set(members)
+    for x, y in itertools.combinations(members, 2):
+        if x | y not in fam or x & y not in fam:
+            raise NotALattice("family is not closed under union/intersection")
+    top = (1 << len(system.support)) - 1
+    if top not in fam:
+        raise NotALattice("family has no top element")
+    nontop = [m for m in members if m != top]
+    coatoms = [c for c in nontop if all(m | c in (top, c) for m in nontop)]
+    return all(any(m | c == c for c in coatoms) for m in nontop)
+
+
 def hall_holds(blocks: list[frozenset]) -> bool:
     """Exhaustive subset scan of Hall's condition."""
     for r in range(1, len(blocks) + 1):
@@ -230,6 +277,21 @@ def union_bound_reference(*systems: SetSystem) -> dict:
     rhs, kind = ramsey._gate(sizes, detail)
     return ramsey.BoundReport(
         "dim(union)+1 < Ram(dims+2)", union_dim + 1, rhs, kind, union_dim + 1 < rhs, detail
+    ).to_json()
+
+
+def wqo_bound_reference(a: QuasiOrder, b: QuasiOrder) -> dict:
+    """``check_wqo_intersection_bound(a, b).to_json()`` with the meet built
+    by ``intersect_qo`` and every order type taken by ``otp``; the gate is
+    ``ramsey._gate``."""
+    if a.elements != b.elements:
+        raise CarrierMismatch("quasi-orders must share one carrier")
+    lhs = otp(intersect_qo(a, b))
+    sizes = (otp(a) + 1, otp(b) + 1)
+    detail = {"otp_a": sizes[0] - 1, "otp_b": sizes[1] - 1}
+    rhs, kind = ramsey._gate(sizes, detail)
+    return ramsey.BoundReport(
+        "otp(a ∩ b) < Ram(otp(a)+1, otp(b)+1)", lhs, rhs, kind, lhs < rhs, detail
     ).to_json()
 
 

@@ -6,7 +6,6 @@ every suite records failures, and the timing-stripped reports are compared
 with a digest recorded before the suites shared one harness.
 """
 
-import dataclasses
 import hashlib
 import json
 import types
@@ -26,7 +25,7 @@ def _flip(real, when):
     """A Ramsey gate whose verdict is reversed on the reports ``when`` picks."""
     def gate(*args, **kwargs):
         rep = real(*args, **kwargs)
-        return dataclasses.replace(rep, holds=rep.holds != when(rep))
+        return rep._replace(holds=rep.holds != when(rep))
     return gate
 
 

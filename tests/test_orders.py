@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from ordkit import (
+    SetSystem,
     Simulation,
     identity_simulation,
     intersect_qo,
@@ -30,11 +31,20 @@ from ordkit.errors import (
 from ordkit.generators import (
     all_quasi_orders,
     all_systems,
+    quasi_orders_up_to_iso,
     random_quasi_order,
     random_system,
 )
 
-from .oracles import naive_otp, nats, system, upper_sets
+from .oracles import (
+    coatomic_reference,
+    naive_otp,
+    nats,
+    random_qo,
+    ss_reference,
+    system,
+    upper_sets,
+)
 
 
 def chain(n):
@@ -144,6 +154,23 @@ def test_ss_of_intersection_counterexample():
     assert ss(inter).family == system(3, (), (0,), (1,), (0, 1), (0, 1, 2)).family
 
 
+def test_ss_matches_the_subset_scan():
+    rng = random.Random(14)
+    cases = [qo for n in range(5) for qo in all_quasi_orders(n)]
+    cases += quasi_orders_up_to_iso(5)
+    cases += [random_qo(rng, rng.randint(6, 12)) for _ in range(300)]
+    for qo in cases:
+        assert ss(qo).to_json() == ss_reference(qo).to_json(), qo
+
+
+def test_ss_of_a_20_chain_is_its_21_final_segments():
+    # the subset scan would visit 2**20 subsets here; the segments are the definition
+    u = nats(20)
+    got = ss(mk_qo(u, [(u[i], u[i + 1]) for i in range(19)]))
+    assert len(got.members) == 21
+    assert got.to_json() == mk_system(u, [u[i:] for i in range(21)]).to_json()
+
+
 def test_qo_of_examples():
     singl = system(4, (0,), (1,), (2,), (3,))
     assert qo_of(singl) == mk_qo(nats(4))
@@ -242,6 +269,35 @@ def test_coatomic_for_up_set_systems():
     for n in range(4):
         for qo in all_quasi_orders(n):
             assert is_coatomic_lattice(ss(qo))
+
+
+def _coatomic_outcome(check, system_):
+    try:
+        return check(system_)
+    except NotALattice as exc:
+        return str(exc)
+
+
+def test_coatomic_matches_the_pairwise_reference():
+    rng = random.Random(14)
+    cases = [s for n in range(4) for s in all_systems(n)]
+    cases += [random_system(rng, rng.randint(4, 6), 12) for _ in range(300)]
+    cases += [ss(qo) for n in range(6) for qo in all_quasi_orders(n)]
+    # a support wider than the members' union: closed, but with no top
+    no_top = SetSystem(nats(2), nats(2), (0, 1))
+    assert _coatomic_outcome(is_coatomic_lattice, no_top) == "family has no top element"
+    cases.append(no_top)
+    outcomes = set()
+    for s in cases:
+        got = _coatomic_outcome(is_coatomic_lattice, s)
+        assert got == _coatomic_outcome(coatomic_reference, s), s
+        outcomes.add(got)
+    assert outcomes == {
+        True,
+        "the family has no members",
+        "family is not closed under union/intersection",
+        "family has no top element",
+    }
 
 
 def test_is_simulation_examples():

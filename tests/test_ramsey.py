@@ -27,7 +27,7 @@ from ordkit import (
 from ordkit import kernels, ramsey
 from ordkit.cli import main
 from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded, UniverseTooLarge
-from ordkit.generators import all_systems, random_system
+from ordkit.generators import all_quasi_orders, all_systems, random_system
 from ordkit.systems import MEMBER_BOUND
 
 from .clirun import CliRunner
@@ -35,8 +35,10 @@ from .oracles import (
     has_mono_clique,
     nats,
     ramsey_search_reference,
+    random_qo,
     system,
     union_bound_reference,
+    wqo_bound_reference,
 )
 from .test_canonical_form import raw_system
 
@@ -263,6 +265,46 @@ def test_check_wqo_intersection_fixtures():
     assert report.holds and report.lhs == otp(le0)
     with pytest.raises(CarrierMismatch):
         check_wqo_intersection_bound(le0, mk_qo(nats(2)))
+
+
+def test_wqo_gate_matches_the_intersect_qo_reference():
+    pairs = [
+        (a, b)
+        for n in range(4)
+        for a in all_quasi_orders(n)
+        for b in all_quasi_orders(n)
+    ]
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        pairs.append((random_qo(rng, n), random_qo(rng, n)))
+    for a, b in pairs:
+        assert check_wqo_intersection_bound(a, b).to_json() == wqo_bound_reference(a, b)
+    a, b = random_qo(rng, 3), random_qo(rng, 4)
+    for gate in (check_wqo_intersection_bound, wqo_bound_reference):
+        with pytest.raises(CarrierMismatch):
+            gate(a, b)
+
+
+def test_bound_report_is_an_immutable_named_tuple():
+    rep = ramsey.BoundReport("p", 1, 3, "exact", True, {"otp_a": 2})
+    assert repr(rep) == (
+        "BoundReport(property='p', lhs=1, rhs=3, rhs_kind='exact', holds=True, "
+        "detail={'otp_a': 2})"
+    )
+    assert rep == ("p", 1, 3, "exact", True, {"otp_a": 2})
+    with pytest.raises(AttributeError):
+        rep.holds = False
+    flipped = rep._replace(holds=False)
+    assert (rep.holds, flipped.holds) == (True, False)
+    assert flipped.to_json() == {
+        "property": "p",
+        "lhs": 1,
+        "rhs": 3,
+        "rhs_kind": "exact",
+        "holds": False,
+        "detail": {"otp_a": 2},
+    }
 
 
 def test_invalid_queries():
