@@ -71,7 +71,7 @@ def _emit(args, payload, human: str):
 
 def _check_limits(trials, max_size):
     """Reject a negative trial count or a size cap below 1 as bad input."""
-    if trials is not None and trials < 0:
+    if trials < 0:
         raise InvalidQuery(f"--trials must be at least 0, got {trials}")
     if max_size is not None and max_size < 1:
         raise InvalidQuery(f"--max-size must be at least 1, got {max_size}")
@@ -97,7 +97,11 @@ def _arg(*names, **options):
 
 def _command(name: str, *arguments):
     """Register the decorated ``fn(args)`` as the subcommand ``name``, with
-    ``arguments`` and a local ``--json``; its docstring is the help text."""
+    ``arguments`` and ``--json``; its docstring is the help text.
+
+    A global option repeated after the subcommand keeps the global dest with
+    ``default=argparse.SUPPRESS``: the subparser sets it only when given, and
+    never copies a default over the global value."""
 
     def register(fn):
         sub = _COMMANDS.add_parser(
@@ -106,7 +110,8 @@ def _command(name: str, *arguments):
         for names, options in arguments:
             sub.add_argument(*names, **options)
         sub.add_argument(
-            "--json", dest="local_json", action="store_true", help="machine-readable output"
+            "--json", action="store_true", default=argparse.SUPPRESS,
+            help="machine-readable output",
         )
         sub.set_defaults(run=fn)
         return fn
@@ -327,21 +332,15 @@ def chain_cmd(args):
 @_command(
     "check",
     _arg("suite", choices=sorted(checks_mod.SUITES) + ["all"]),
-    # own dests: argparse copies a subcommand's defaults over the global values
-    _arg("--seed", dest="check_seed", metavar="SEED", type=int, help="override the global seed"),
-    _arg("--trials", dest="check_trials", metavar="TRIALS", type=int,
-         help="override the global trials"),
-    _arg("--max-size", dest="check_max_size", metavar="MAX_SIZE", type=int,
+    _arg("--seed", type=int, default=argparse.SUPPRESS, help="override the global seed"),
+    _arg("--trials", type=int, default=argparse.SUPPRESS, help="override the global trials"),
+    _arg("--max-size", type=int, default=argparse.SUPPRESS,
          help="override the global size cap"),
 )
 def check_cmd(args):
     """Run a theorem-check suite; exit 1 when any property fails."""
-    _check_limits(args.check_trials, args.check_max_size)
     reports = checks_mod.run_suite(
-        args.suite,
-        seed=args.seed if args.check_seed is None else args.check_seed,
-        trials=args.trials if args.check_trials is None else args.check_trials,
-        max_size=args.max_size if args.check_max_size is None else args.check_max_size,
+        args.suite, seed=args.seed, trials=args.trials, max_size=args.max_size
     )
     if args.json:
         print(json.dumps([r.to_json() for r in reports], sort_keys=True))
@@ -371,7 +370,6 @@ def main(args=None, standalone_mode=True):
     """
     try:
         ns = _PARSER.parse_args(args)
-        ns.json = ns.json or ns.local_json
         _check_limits(ns.trials, ns.max_size)
         code = ns.run(ns)
     except SystemExit as exc:  # argparse has printed the usage error or the help

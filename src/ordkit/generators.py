@@ -11,8 +11,8 @@ import random
 from typing import Iterator
 
 from .atoms import Atom, leaf
-from .orders import QuasiOrder, Simulation, _closure
-from .systems import SetSystem, _canonical, _remap
+from .orders import QuasiOrder, Simulation, _closure, _simulation
+from .systems import SetSystem, _bits, _canonical, _remap
 from .traces import Trace, mk_trace
 
 DIGITS = tuple(leaf(str(i)) for i in range(10))
@@ -178,29 +178,27 @@ def sequential_traces(
 def random_simulation(
     rng: random.Random, src: QuasiOrder, tgt: QuasiOrder
 ) -> Simulation:
-    """Random seed pairs repaired to a simulation by propagating upward."""
+    """Random seed pairs repaired to a simulation by propagating upward.
+
+    Each source element, in index order, is related with probability 0.7 to
+    one target element drawn uniformly.  The rows are then repaired in index
+    order: for each related pair (i, y) and each j above i with no related
+    element above y, y joins row j.  A pair added this way already obeys
+    the law, since everything above j is above i, so one pass ends with a
+    simulation, and the result depends on ``rng`` alone.
+    """
     if not tgt.elements:
         return Simulation(src, tgt, frozenset())
-    pairs: set[tuple[Atom, Atom]] = set()
-    for x in src.elements:
+    rows = [0] * len(src.elements)
+    for i in range(len(rows)):
         if rng.random() < 0.7:
-            pairs.add((x, rng.choice(tgt.elements)))
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(pairs):
-            ix = src.index[x]
-            bits = src.up[ix]
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                x2 = src.elements[b.bit_length() - 1]
-                if not any(
-                    (x2, y2) in pairs and tgt.le(y, y2) for y2 in tgt.elements
-                ):
-                    pairs.add((x2, y))
-                    changed = True
-    return Simulation(src, tgt, frozenset(pairs))
+            rows[i] = 1 << rng.randrange(len(tgt.elements))
+    for i, row in enumerate(rows):
+        for y in _bits(row):
+            for j in _bits(src.up[i]):
+                if not rows[j] & tgt.up[y]:
+                    rows[j] |= 1 << y
+    return _simulation(src, tgt, rows)
 
 
 def all_relations(src: QuasiOrder, tgt: QuasiOrder) -> Iterator[Simulation]:

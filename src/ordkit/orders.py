@@ -13,13 +13,18 @@ lie below each other, and listing one element per class along a linear
 extension of the partial order of classes, from the top down, is bad.
 ``otp`` is this class count; ``kernels.bad_sequence_rank`` computes the
 rank by search and is kept as its certificate.
+
+A simulation between two quasi-orders is a relation given by its atom
+``pairs``; ``Simulation.rows`` holds the same relation as one bitmask row
+per source element, and the simulation law, composition and the
+linearizations all work on those rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 from .atoms import Atom, atom_from_json, atom_to_json, leaf
@@ -31,7 +36,7 @@ from .errors import (
     UniverseTooLarge,
     UnknownElement,
 )
-from .systems import SetSystem, _canonical
+from .systems import SetSystem, _bits, _canonical
 
 SS_ELEMENT_BOUND = 20
 LINEARIZATION_BOUND = 8
@@ -57,11 +62,8 @@ class QuasiOrder:
 
     def pairs(self) -> Iterator[tuple[Atom, Atom]]:
         for i, row in enumerate(self.up):
-            bits = row
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                yield self.elements[i], self.elements[b.bit_length() - 1]
+            for j in _bits(row):
+                yield self.elements[i], self.elements[j]
 
     def to_json(self):
         return {
@@ -96,7 +98,6 @@ def mk_qo(
     """
     elems = tuple(sorted(set(elements)))
     index = {a: i for i, a in enumerate(elems)}
-    rows = [0] * len(elems)
     given = [0] * len(elems)
     for x, y in pairs:
         if x not in index:
@@ -292,23 +293,40 @@ class Simulation:
             if y not in self.target.index:
                 raise UnknownElement(y)
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """``rows[i]`` bit j set <=> source element i is related to target element j."""
+        rows = [0] * len(self.source.elements)
+        src, tgt = self.source.index, self.target.index
+        for x, y in self.pairs:
+            rows[src[x]] |= 1 << tgt[y]
+        return tuple(rows)
+
+
+def _simulation(source: QuasiOrder, target: QuasiOrder, rows: Iterable[int]) -> Simulation:
+    """The relation given by index rows, as a ``Simulation``."""
+    xs, ys = source.elements, target.elements
+    return Simulation(
+        source,
+        target,
+        frozenset((xs[i], ys[j]) for i, row in enumerate(rows) for j in _bits(row)),
+    )
+
 
 def is_simulation(sim: Simulation) -> bool:
-    """Does every related pair propagate along source increases?"""
-    src, tgt = sim.source, sim.target
-    rel = sim.pairs
-    for x, y in rel:
-        ix = src.index[x]
-        bits = src.up[ix]
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            x2 = src.elements[b.bit_length() - 1]
-            if not any(
-                (x2, y2) in rel and tgt.le(y, y2) for y2 in tgt.elements
-            ):
-                return False
-    return True
+    """Does every related pair propagate along source increases?
+
+    For x related to y and every x2 above x, some y2 above y is related to
+    x2: ``rows[j] & target.up[y]`` for every y in ``rows[i]`` and every j in
+    ``source.up[i]``.
+    """
+    rows, up, tgt_up = sim.rows, sim.source.up, sim.target.up
+    return all(
+        rows[j] & tgt_up[y]
+        for i, row in enumerate(rows)
+        for y in _bits(row)
+        for j in _bits(up[i])
+    )
 
 
 def identity_simulation(qo: QuasiOrder) -> Simulation:
@@ -319,18 +337,11 @@ def compose_simulations(second: Simulation, first: Simulation) -> Simulation:
     """Relational composite: first from X to Y, second from Y to Z."""
     if first.target.elements != second.source.elements:
         raise CarrierMismatch("simulations do not chain")
-    rel = frozenset(
-        (x, z)
-        for x, y in first.pairs
-        for y2, z in second.pairs
-        if y == y2
-    )
-    return Simulation(first.source, second.target, rel)
-
-
-def graph_simulation(qo_src: QuasiOrder, qo_tgt: QuasiOrder, mapping: dict[Atom, Atom]) -> Simulation:
-    return Simulation(
-        qo_src, qo_tgt, frozenset((x, mapping[x]) for x in qo_src.elements)
+    rows = second.rows
+    return _simulation(
+        first.source,
+        second.target,
+        [reduce(int.__or__, map(rows.__getitem__, _bits(row)), 0) for row in first.rows],
     )
 
 
@@ -347,50 +358,31 @@ def linearizations(
 
     Each result is the chain target plus the graph of the mapping as a
     simulation.  Enumerated as ordered partitions whose blocks are
-    down-closed in what remains.
+    down-closed in what remains: the next block is a nonempty submask of
+    the remaining elements, in ascending order, with no remaining element
+    outside it below an element in it.
     """
     n = len(qo.elements)
     if n > max_elements:
         raise UniverseTooLarge(n, max_elements)
+    up = qo.up
     results: list[tuple[QuasiOrder, Simulation]] = []
-    full = (1 << n) - 1
-
-    def down_closed_blocks(remaining: int) -> list[int]:
-        elems = [i for i in range(n) if remaining >> i & 1]
-        blocks = []
-        for bits in range(1, 1 << len(elems)):
-            block = 0
-            for k, i in enumerate(elems):
-                if bits >> k & 1:
-                    block |= 1 << i
-            ok = True
-            for i in elems:
-                if block >> i & 1:
-                    continue
-                # anything below a block element must already be in the block
-                row = qo.up[i]
-                if row & block and remaining >> i & 1:
-                    ok = False
-                    break
-            if ok:
-                blocks.append(block)
-        return blocks
 
     def walk(remaining: int, blocks: list[int]):
         if remaining == 0:
-            k = len(blocks)
-            target = _chain(k)
-            mapping = {}
+            target = _chain(len(blocks))
+            rows = [0] * n
             for level, block in enumerate(blocks):
-                bits = block
-                while bits:
-                    b = bits & -bits
-                    bits ^= b
-                    mapping[qo.elements[b.bit_length() - 1]] = target.elements[level]
-            results.append((target, graph_simulation(qo, target, mapping)))
+                for i in _bits(block):
+                    rows[i] = 1 << level
+            results.append((target, _simulation(qo, target, rows)))
             return
-        for block in down_closed_blocks(remaining):
-            walk(remaining & ~block, blocks + [block])
+        block = -remaining & remaining
+        while block:
+            rest = remaining & ~block
+            if not any(up[i] & block for i in _bits(rest)):
+                walk(rest, blocks + [block])
+            block = (block - remaining) & remaining
 
-    walk(full, [])
+    walk((1 << n) - 1, [])
     return results

@@ -187,23 +187,25 @@ def compose(outer: Trace, inner: Trace) -> Trace:
     Option sets multiply out (one inner option per outer option element);
     the result is canonicalized to keep the expansion in check.  More than
     ``COMPOSE_OPTION_BOUND`` option sets in all are refused before any is
-    built.
+    built: the count is summed over the source elements in sorted order and
+    tested after each, so the refusal names the same count in every process.
     """
     if outer.target_field != inner.source_field:
         raise FieldMismatch("outer target field must equal inner source field")
-    inner_opts = inner.options
+    inner_opts, outer_opts = inner.options, outer.options
     expansions = []
     count = 0
-    for x, v in outer.pairs:
-        pools = [inner_opts.get(y) for y in sorted(v)]
-        if any(p is None for p in pools):
-            continue
-        count += math.prod(map(len, pools))
+    for x in sorted(outer_opts):
+        for v in outer_opts[x]:
+            pools = [inner_opts.get(y) for y in sorted(v)]
+            if any(p is None for p in pools):
+                continue
+            count += math.prod(map(len, pools))
+            expansions.append((x, pools))
         if count > COMPOSE_OPTION_BOUND:
             raise UniverseTooLarge(
                 f"at least {count}", COMPOSE_OPTION_BOUND, "composition", "option sets"
             )
-        expansions.append((x, pools))
     pairs = [
         (x, frozenset().union(*combo))
         for x, pools in expansions

@@ -12,6 +12,7 @@ from functools import reduce
 from ordkit import (
     QuasiOrder,
     SetSystem,
+    Simulation,
     atom_to_json,
     dim,
     ew_union,
@@ -323,3 +324,90 @@ def elasticity_chain_reference(family, k: int, element_horizon: int, family_hori
         if extend():
             return tuple(elements), tuple(families)
     return None
+
+
+def is_simulation_reference(sim: Simulation) -> bool:
+    """The simulation law on atom pairs: for every related (x, y) and every
+    x2 above x, some y2 above y is related to x2."""
+    src, tgt = sim.source, sim.target
+    rel = sim.pairs
+    for x, y in rel:
+        for x2 in src.elements:
+            if not src.le(x, x2):
+                continue
+            if not any((x2, y2) in rel and tgt.le(y, y2) for y2 in tgt.elements):
+                return False
+    return True
+
+
+def compose_simulations_reference(second: Simulation, first: Simulation) -> Simulation:
+    """The relational composite, joined on the middle carrier pair by pair."""
+    if first.target.elements != second.source.elements:
+        raise CarrierMismatch("simulations do not chain")
+    rel = frozenset(
+        (x, z) for x, y in first.pairs for y2, z in second.pairs if y == y2
+    )
+    return Simulation(first.source, second.target, rel)
+
+
+def linearizations_reference(qo: QuasiOrder) -> list[tuple[QuasiOrder, Simulation]]:
+    """Every ordered partition into blocks down-closed in what remains, each
+    block chosen by counting through the subsets of the remaining elements,
+    with the chain and the graph of the map to its levels."""
+    n = len(qo.elements)
+    results = []
+
+    def walk(remaining: list[int], blocks: list[list[int]]):
+        if not remaining:
+            k = len(blocks)
+            target = QuasiOrder(
+                nats(k), tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))
+            )
+            graph = frozenset(
+                (qo.elements[i], target.elements[level])
+                for level, block in enumerate(blocks)
+                for i in block
+            )
+            results.append((target, Simulation(qo, target, graph)))
+            return
+        for bits in range(1, 1 << len(remaining)):
+            block = [i for k, i in enumerate(remaining) if bits >> k & 1]
+            rest = [i for i in remaining if i not in block]
+            if any(qo.up[i] >> j & 1 for i in rest for j in block):
+                continue
+            walk(rest, blocks + [block])
+
+    walk(list(range(n)), [])
+    return results
+
+
+def simulation_seed_pairs_reference(rng, src: QuasiOrder, tgt: QuasiOrder) -> set:
+    """The seed pairs of ``random_simulation``, drawn in its order: each
+    source element, with probability 0.7, paired with a uniform target
+    element."""
+    pairs = set()
+    if not tgt.elements:
+        return pairs
+    for x in src.elements:
+        if rng.random() < 0.7:
+            pairs.add((x, rng.choice(tgt.elements)))
+    return pairs
+
+
+def random_simulation_reference(rng, src: QuasiOrder, tgt: QuasiOrder) -> Simulation:
+    """The seed pairs repaired by adding (x2, y) for every related (x, y) and
+    x2 above x with no related element above y, sweeping the pair set until
+    nothing changes; the sweep order, and so the result, follows the set's
+    iteration order, which varies with the hash seed."""
+    pairs = simulation_seed_pairs_reference(rng, src, tgt)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(pairs):
+            for x2 in src.elements:
+                if src.le(x, x2) and not any(
+                    (x2, y2) in pairs and tgt.le(y, y2) for y2 in tgt.elements
+                ):
+                    pairs.add((x2, y))
+                    changed = True
+    return Simulation(src, tgt, frozenset(pairs))

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordkit
 from ordkit.checks import run_suite
 from ordkit.cli import main
 
@@ -184,6 +189,34 @@ def test_compose_over_budget_exits_2(runner, tmp_path):
     }))
     result = runner.invoke(main, ["trace", "compose", str(outer), str(inner)])
     _bad_input_exit(result, f"composition has at least {2**40} option sets, limit is 65536")
+
+
+def test_compose_refusal_count_ignores_the_hash_seed(tmp_path):
+    # outer pairs expanding to 2**10, 2**15 and 2**17 option sets: in sorted
+    # source order the bound is crossed only by the third
+    mid = [str(i) for i in range(17)]
+    low = [f"{y}{side}" for y in mid for side in "ab"]
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps({
+        "source_field": ["a", "b", "c"], "target_field": mid,
+        "pairs": [{"x": x, "v": mid[:k]} for x, k in zip("abc", (10, 15, 17))],
+    }))
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({
+        "source_field": mid, "target_field": low,
+        "pairs": [{"x": v[:-1], "v": [v]} for v in low],
+    }))
+    src = str(Path(ordkit.__file__).parents[1])
+    for hash_seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "ordkit.cli", "trace", "compose", str(outer), str(inner)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(
+            "error: composition has at least 164864 option sets, limit is 65536"
+        ), (hash_seed, result.stderr)
 
 
 def test_disjoint_over_budget_exits_2(runner, tmp_path):
@@ -386,6 +419,20 @@ _CHAIN = ["chain", "--family", "singl", "--length", "2"]
 )
 def test_bad_limits_exit_2_with_diagnostic(runner, argv, flag):
     _bad_input_exit(runner.invoke(main, argv), f"{flag} must be at least")
+
+
+def test_check_options_after_the_subcommand_override_the_global_ones(runner):
+    argv = ["--json", "--seed", "3", "check", "repre", "--seed", "5", "--trials", "0",
+            "--max-size", "2"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    (report,) = json.loads(result.stdout)
+    assert (report["seed"], report["trials"]) == (5, 0)
+    result = runner.invoke(main, ["--json", "--seed", "3", "check", "repre", "--trials", "0",
+                                  "--max-size", "2"])
+    assert json.loads(result.stdout)[0]["seed"] == 3
+    _bad_input_exit(runner.invoke(main, ["check", "repre", "--trials", "-1"]),
+                    "--trials must be at least 0, got -1")
 
 
 def test_smallest_limits_are_accepted(runner):

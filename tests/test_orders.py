@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from ordkit import (
     SetSystem,
     Simulation,
+    compose_simulations,
     identity_simulation,
     intersect_qo,
     is_bad_sequence,
@@ -30,14 +32,19 @@ from ordkit.errors import (
 )
 from ordkit.generators import (
     all_quasi_orders,
+    all_relations,
     all_systems,
     quasi_orders_up_to_iso,
     random_quasi_order,
+    random_simulation,
     random_system,
 )
 
 from .oracles import (
     coatomic_reference,
+    compose_simulations_reference,
+    is_simulation_reference,
+    linearizations_reference,
     naive_otp,
     nats,
     random_qo,
@@ -327,3 +334,44 @@ def test_linearization_bound():
             for target, simf in linearizations(qo):
                 assert otp(target) <= otp(qo)
                 assert is_simulation(simf)
+
+
+def test_simulation_rows_hold_the_pairs():
+    c2 = chain(2)
+    u = nats(2)
+    assert identity_simulation(c2).rows == (0b01, 0b10)
+    assert Simulation(c2, antichain(1), frozenset({(u[1], u[0])})).rows == (0, 1)
+    assert Simulation(c2, c2, frozenset()).rows == (0, 0)
+
+
+def test_is_simulation_matches_the_pairwise_reference():
+    # every relation between every pair of labelled orders on at most 2 points
+    for n in range(3):
+        for m in range(3):
+            for x in all_quasi_orders(n):
+                for y in all_quasi_orders(m):
+                    for cand in all_relations(x, y):
+                        assert is_simulation(cand) == is_simulation_reference(cand), cand
+
+
+def test_linearizations_match_the_reference():
+    for n in range(5):
+        for qo in all_quasi_orders(n):
+            assert linearizations(qo) == linearizations_reference(qo)
+
+
+def test_compose_simulations_matches_the_reference():
+    rng = random.Random(29)
+    for _ in range(300):
+        x, y, z = (random_quasi_order(rng, 4) for _ in range(3))
+        r = random_simulation(rng, x, y)
+        s = random_simulation(rng, y, z)
+        assert compose_simulations(s, r) == compose_simulations_reference(s, r)
+        # and on relations that need not be simulations
+        r = Simulation(x, y, frozenset(p for p in itertools.product(x.elements, y.elements)
+                                       if rng.random() < 0.3))
+        s = Simulation(y, z, frozenset(p for p in itertools.product(y.elements, z.elements)
+                                       if rng.random() < 0.3))
+        assert compose_simulations(s, r) == compose_simulations_reference(s, r)
+    with pytest.raises(CarrierMismatch):
+        compose_simulations(identity_simulation(chain(2)), identity_simulation(chain(3)))
