@@ -19,7 +19,11 @@ reach them through ``ordkit.kernels``:
   colorings that a symmetry maps to a smaller valid one: a color swap on
   the first edge when both clique sizes agree, and a lex-leader cut at
   each vertex boundary, which drops a complete K_j whose coloring some
-  vertex transposition makes colex-smaller.
+  vertex transposition makes colex-smaller.  The cut is incremental: a
+  transposition that an earlier boundary decided stays decided, because
+  the rows it compared do not change, and one that tied there is decided
+  by the one new row, so each boundary rereads whole rows only for the
+  transpositions that move the newest vertex.
 
 The production search.  Let ``contains[t]`` be the set of members holding
 element ``t``.  Then ``V(empty) = 0`` and ``V(C) = 1 + max V(C & contains[t])``
@@ -173,7 +177,22 @@ def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
       completion of the prefix.
 
     Rows are compared on the color-1 adjacency masks: row v of K_j is the
-    set of i < v with (i, v) in color 1, read from bit 0 up.
+    set of i < v with (i, v) in color 1, read from bit 0 up.  The check is
+    incremental.  K_j is K_{j-1} plus row j-1, and a transposition (a b)
+    with b < j-1 fixes j-1, so it leaves rows below j-1 as they were on
+    K_{j-1} and changes row j-1 only by swapping bits a and b.  A
+    transposition that some earlier row already decided stays decided: had
+    it lowered K_{j-1}, the prefix would have been dropped there, so it
+    raises K_j.  One that tied on K_{j-1} is decided by row j-1 alone, at
+    bit a, where the image holds bit b.  So ``dfs`` carries the tied
+    transpositions down the search, and each boundary reads one row for
+    each of them and full rows only for the j-1 new transpositions
+    (a, j-1).
+
+    An edge (i, j) may take color c unless it closes a clique of size l_c,
+    that is unless the common color-c neighbours of i and j hold a clique
+    of size l_c - 2.  A color with l_c = 2 is never offered, size 1 is
+    tested inline, and ``clique`` answers sizes 2 and up.
     """
     if l1 < 1 or l2 < 1 or n < 1:
         raise ValueError("clique sizes and vertex count must be positive")
@@ -182,58 +201,78 @@ def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
     edges = [(i, j) for j in range(n) for i in range(j)]
     m = len(edges)
     adj = ([0] * n, [0] * n)
+    rows = adj[1]
     colors = [0] * m
-    need = (l1 - 2, l2 - 2)
-    sym = l1 == l2
+    # (color, its adjacency masks, the clique size that blocks it)
+    options = tuple((c, adj[c], l - 2) for c, l in enumerate((l1, l2)) if l > 2)
+    first = options[:1] if l1 == l2 else options
 
     def clique(adjc: list[int], cand: int, size: int) -> bool:
-        if size == 0:
-            return True
         if cand.bit_count() < size:
             return False
         while cand:
             v = cand & -cand
             cand ^= v
-            if clique(adjc, cand & adjc[v.bit_length() - 1], size - 1):
+            nxt = cand & adjc[v.bit_length() - 1]
+            if nxt and (size == 2 or clique(adjc, nxt, size - 1)):
                 return True
         return False
 
-    def lex_leader(j: int) -> bool:
-        """False if some transposition (a b), a < b < j, lowers the coloring of K_j."""
-        rows = adj[1]
-        for b in range(1, j):
-            for a in range(b):
-                ab = 1 << a | 1 << b
-                # rows below a are fixed; row v of the image is row sigma(v)
-                # with bits a and b swapped, cut to the bits below v
-                for v in range(a, j):
-                    r = rows[b if v == a else a if v == b else v]
-                    if (r >> a ^ r >> b) & 1:
-                        r ^= ab
-                    d = (r ^ rows[v]) & ((1 << v) - 1)
-                    if d:
-                        if r & d & -d:
-                            break  # the image is larger
-                        return False
-        return True
+    def lex_leader(j: int, tied: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+        """The transpositions (a b), a < b < j, that fix the coloring of K_j,
+        or None if one of them lowers it; ``tied`` are those fixing K_{j-1}."""
+        b = j - 1
+        last = rows[b]
+        still = []
+        for pair in tied:
+            a, c = pair
+            # row j-1 first differs from its image at bit a, if at all
+            if (last >> a ^ last >> c) & 1:
+                if not last >> c & 1:
+                    return None  # the image has color 0 at (a, j-1)
+            else:
+                still.append(pair)
+        for a in range(b):
+            ab = 1 << a | 1 << b
+            # rows below a are fixed; row v of the image is row sigma(v)
+            # with bits a and b swapped, cut to the bits below v
+            for v in range(a, j):
+                r = rows[b if v == a else a if v == b else v]
+                if (r >> a ^ r >> b) & 1:
+                    r ^= ab
+                d = (r ^ rows[v]) & ((1 << v) - 1)
+                if d:
+                    if r & d & -d:
+                        break  # the image is larger
+                    return None
+            else:
+                still.append((a, b))
+        return still
 
-    def dfs(e: int) -> bool:
+    def dfs(e: int, tied: list[tuple[int, int]]) -> bool:
         if e == m:
             return True
         i, j = edges[e]
-        if i == 0 and not lex_leader(j):
-            return False
-        for c in ((0,) if (e == 0 and sym) else (0, 1)):
-            if not clique(adj[c], adj[c][i] & adj[c][j], need[c]):
-                colors[e] = c
-                adj[c][i] |= 1 << j
-                adj[c][j] |= 1 << i
-                if dfs(e + 1):
-                    return True
-                adj[c][i] &= ~(1 << j)
-                adj[c][j] &= ~(1 << i)
+        if i == 0:
+            tied = lex_leader(j, tied)
+            if tied is None:
+                return False
+        bi = 1 << i
+        bj = 1 << j
+        for c, adjc, size in first if e == 0 else options:
+            cand = adjc[i] & adjc[j]
+            if cand and (size == 1 or clique(adjc, cand, size)):
+                continue
+            colors[e] = c
+            adjc[i] |= bj
+            adjc[j] |= bi
+            if dfs(e + 1, tied):
+                return True
+            # both bits were clear before the edge was colored
+            adjc[i] ^= bj
+            adjc[j] ^= bi
         return False
 
-    if dfs(0):
+    if dfs(0, []):
         return list(colors)
     return None

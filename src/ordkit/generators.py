@@ -19,6 +19,9 @@ DIGITS = tuple(leaf(str(i)) for i in range(10))
 
 
 def nat_atoms(n: int) -> tuple[Atom, ...]:
+    """The first ``n`` of the ten atoms ``"0"``, ..., ``"9"``."""
+    if not 0 <= n <= len(DIGITS):
+        raise ValueError(f"nat_atoms gives 0 to {len(DIGITS)} atoms, not {n}")
     return DIGITS[:n]
 
 
@@ -98,6 +101,9 @@ def all_systems(n: int) -> Iterator[SetSystem]:
 
 def random_quasi_order(rng: random.Random, max_size: int) -> QuasiOrder:
     """Random directed pairs plus closure; cycles yield equivalent elements."""
+    if max_size > len(DIGITS):
+        # refused before any draw, so a refused call leaves the rng as it was
+        raise ValueError(f"nat_atoms gives 0 to {len(DIGITS)} atoms, not {max_size}")
     n = rng.randint(1, max_size)
     elems = nat_atoms(n)
     rows = [0] * n

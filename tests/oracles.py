@@ -268,6 +268,71 @@ def ramsey_search_reference(l1: int, l2: int, n: int):
     return list(colors) if dfs(0) else None
 
 
+def ramsey_search_lex_leader_reference(l1: int, l2: int, n: int):
+    """``ramsey_search_reference`` plus the lex-leader cut, checked in full.
+
+    At every vertex boundary, just before the edge (0, j), the prefix is
+    dropped if some transposition (a b), a < b < j, makes the coloring of
+    K_j colex-smaller; every transposition is compared row by row from
+    row a, with nothing carried over from the previous boundary.
+    """
+    if l1 == 1 or l2 == 1:
+        return None
+    edges = [(i, j) for j in range(n) for i in range(j)]
+    m = len(edges)
+    adj = ([0] * n, [0] * n)
+    colors = [0] * m
+    need = (l1 - 2, l2 - 2)
+    sym = l1 == l2
+
+    def clique(adjc, cand, size):
+        if size == 0:
+            return True
+        if cand.bit_count() < size:
+            return False
+        while cand:
+            v = cand & -cand
+            cand ^= v
+            if clique(adjc, cand & adjc[v.bit_length() - 1], size - 1):
+                return True
+        return False
+
+    def lex_leader(j):
+        rows = adj[1]
+        for b in range(1, j):
+            for a in range(b):
+                ab = 1 << a | 1 << b
+                for v in range(a, j):
+                    r = rows[b if v == a else a if v == b else v]
+                    if (r >> a ^ r >> b) & 1:
+                        r ^= ab
+                    d = (r ^ rows[v]) & ((1 << v) - 1)
+                    if d:
+                        if r & d & -d:
+                            break
+                        return False
+        return True
+
+    def dfs(e):
+        if e == m:
+            return True
+        i, j = edges[e]
+        if i == 0 and not lex_leader(j):
+            return False
+        for c in ((0,) if (e == 0 and sym) else (0, 1)):
+            if not clique(adj[c], adj[c][i] & adj[c][j], need[c]):
+                colors[e] = c
+                adj[c][i] |= 1 << j
+                adj[c][j] |= 1 << i
+                if dfs(e + 1):
+                    return True
+                adj[c][i] &= ~(1 << j)
+                adj[c][j] &= ~(1 << i)
+        return False
+
+    return list(colors) if dfs(0) else None
+
+
 def union_bound_reference(*systems: SetSystem) -> dict:
     """``check_union_bound(*systems).to_json()`` with the union built as a
     system by ``ew_union`` and ranked by ``dim``; the gate is ``ramsey._gate``."""

@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ordkit
-from ordkit import QuasiOrder, is_simulation
+from ordkit import QuasiOrder, is_simulation, leaf
 from ordkit.generators import (
     all_preorder_rows,
     all_systems,
+    nat_atoms,
     quasi_orders_up_to_iso,
     random_quasi_order,
     random_simulation,
@@ -60,6 +63,22 @@ def test_seeded_generators_are_deterministic():
     a = random_system(random.Random(11), 4, 6)
     b = random_system(random.Random(11), 4, 6)
     assert a == b
+
+
+def test_generators_refuse_more_points_than_there_are_atoms():
+    # there are ten atoms "0".."9"; asking for more once raised IndexError,
+    # or quietly gave ten points (and a 14-row order on 10 elements)
+    assert nat_atoms(10) == tuple(map(leaf, "0123456789"))
+    with pytest.raises(ValueError, match="not 11"):
+        random_system(random.Random(0), 11, 4)
+    with pytest.raises(ValueError, match="not 11"):
+        random_system(random.Random(1), 11, 4)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="not 14"):
+        random_quasi_order(rng, 14)
+    assert rng.getstate() == random.Random(0).getstate()
+    with pytest.raises(ValueError, match="not -1"):
+        nat_atoms(-1)
 
 
 def _upward(pairs, src):

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -34,6 +36,7 @@ from .clirun import CliRunner
 from .oracles import (
     has_mono_clique,
     nats,
+    ramsey_search_lex_leader_reference,
     ramsey_search_reference,
     random_qo,
     system,
@@ -123,13 +126,52 @@ def test_ram_verify_edges():
 
 _SEARCH_GRID = [
     *itertools.product(range(1, 5), range(1, 5), range(1, 9)),
-    (3, 5, 9), (3, 5, 10), (5, 3, 10),
+    (3, 5, 9), (3, 5, 10), (5, 3, 10), (3, 5, 11), (5, 3, 11),
+    (4, 4, 8), (4, 4, 9), (4, 4, 10), (3, 6, 9), (4, 5, 8),
 ]
 
 
 @pytest.mark.parametrize("l1, l2, n", _SEARCH_GRID)
 def test_ramsey_search_returns_the_reference_value(l1, l2, n):
     assert kernels.ramsey_search(l1, l2, n) == ramsey_search_reference(l1, l2, n)
+
+
+@pytest.mark.parametrize("l1, l2, n", [(3, 5, 11), (3, 5, 12), (5, 3, 12), (4, 4, 10)])
+def test_incremental_lex_leader_matches_the_full_check(l1, l2, n):
+    assert kernels.ramsey_search(l1, l2, n) == ramsey_search_lex_leader_reference(l1, l2, n)
+
+
+def _entries(search, *args) -> Counter:
+    """How often each Python function is entered while ``search(*args)`` runs."""
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        search(*args)
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+@pytest.mark.parametrize("l1, l2, n", [(3, 5, 11), (5, 3, 11), (4, 4, 10)])
+def test_incremental_lex_leader_cuts_the_same_nodes(l1, l2, n):
+    # any sound cut returns the same coloring; equal node counts show that
+    # carrying the tied transpositions forward drops nothing from the cut
+    got = _entries(kernels.ramsey_search, l1, l2, n)
+    want = _entries(ramsey_search_lex_leader_reference, l1, l2, n)
+    assert (got["dfs"], got["lex_leader"]) == (want["dfs"], want["lex_leader"])
+
+
+def test_ramsey_search_k13_coloring_for_35_is_pinned():
+    # recorded at a5311d3, before the incremental lex-leader check
+    coloring = kernels.ramsey_search(3, 5, 13)
+    digest = hashlib.sha256(bytes(coloring)).hexdigest()
+    assert digest == "b666e97ea5beab868456ec42f66c1b135f9827c3f003ec87ef7ae198821a0418"
 
 
 @pytest.mark.parametrize("l1, l2, n", [(3, 4, 9), (4, 3, 9), (3, 4, 10)])
