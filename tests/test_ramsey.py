@@ -127,7 +127,7 @@ def test_ram_verify_edges():
 _SEARCH_GRID = [
     *itertools.product(range(1, 5), range(1, 5), range(1, 9)),
     (3, 5, 9), (3, 5, 10), (5, 3, 10), (3, 5, 11), (5, 3, 11),
-    (4, 4, 8), (4, 4, 9), (4, 4, 10), (3, 6, 9), (4, 5, 8),
+    (4, 4, 9), (4, 4, 10), (3, 6, 9), (4, 5, 8),
 ]
 
 
