@@ -160,25 +160,11 @@ def sequential_traces(
     include_empty_options: bool = True,
 ) -> Iterator[Trace]:
     """Every trace with at most one option set per source element."""
+    source, target = tuple(sorted(set(source))), tuple(sorted(set(target)))
     lo = 0 if include_empty_options else 1
-    option_masks = list(range(1 << len(target)))
-    per_x: list[list[object]] = []
-    for _ in source:
-        choices: list[object] = [None]
-        for mask in option_masks:
-            if bin(mask).count("1") >= lo:
-                choices.append(mask)
-        per_x.append(choices)
-    for combo in itertools.product(*per_x):
-        pairs = []
-        for x, choice in zip(source, combo):
-            if choice is None:
-                continue
-            mask = choice
-            pairs.append(
-                (x, tuple(a for i, a in enumerate(target) if mask >> i & 1))
-            )
-        yield mk_trace(source, target, pairs)
+    choices = [()] + [(m,) for m in range(1 << len(target)) if m.bit_count() >= lo]
+    for options in itertools.product(choices, repeat=len(source)):
+        yield Trace(source, target, options)
 
 
 def random_simulation(

@@ -227,7 +227,7 @@ def check_image_bound(
     image = direct_image(trace, system)
     d_img = dim(image)
     d_sys = dim(system)
-    has_empty = any(not v for _, v in trace.pairs)
+    has_empty = any(0 in opts for opts in trace.options)
     detail = {
         "branching": n,
         "image_dim": d_img,
@@ -236,11 +236,8 @@ def check_image_bound(
     }
     if n <= 1:
         if xi is not None:
-            opts = trace.options
             for y in system.support:
-                x = xi.get(y)
-                ok = x is not None and frozenset((y,)) in opts.get(x, ())
-                if not ok:
+                if (xi.get(y), frozenset((y,))) not in trace.pairs:
                     raise InvalidQuery(f"xi is not a section at {y!r}")
             return BoundReport(
                 "dim(image) == dim(system) [sequential, with section]",

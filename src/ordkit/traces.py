@@ -6,6 +6,10 @@ source element one of whose option sets lies inside g; an empty option set
 therefore fires on every input.  Images, composition, classification, the
 up-set/quasi-order functor pair, and the finite category constructions
 (product, coproduct, equalizer, mediating morphisms) all live here.
+
+Both fields are sorted; ``options[i]`` holds the distinct option masks of
+``source_field[i]`` over the target field, in ``SetSystem`` member order.
+Atoms appear only in ``mk_trace``, ``pairs``, ``to_json`` and ``__repr__``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
@@ -27,13 +31,20 @@ from .errors import (
     NotLinear,
     UniverseTooLarge,
 )
-from .orders import QuasiOrder, Simulation, is_simulation
-from .systems import SetSystem, _system, ew_disjoint, tagged_union
+from .orders import QuasiOrder, Simulation, _simulation, is_simulation
+from .systems import (
+    BANG_SUPPORT_BOUND,
+    SetSystem,
+    _bits,
+    _canonical,
+    _index_order,
+    _remap,
+    ew_disjoint,
+    tagged_union,
+)
 
-TracePairs = frozenset[tuple[Atom, frozenset[Atom]]]
-
-# compose expands each outer pair into the product of its elements' inner
-# option counts; the sum of those products is the work it would do
+# compose expands each outer option set into the product of its elements'
+# inner option counts; the sum of those products is the work it would do
 COMPOSE_OPTION_BOUND = 1 << 16
 
 
@@ -41,28 +52,52 @@ COMPOSE_OPTION_BOUND = 1 << 16
 class Trace:
     source_field: tuple[Atom, ...]
     target_field: tuple[Atom, ...]
-    pairs: TracePairs
+    options: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def options(self) -> dict[Atom, tuple[frozenset[Atom], ...]]:
-        by_x: dict[Atom, list[frozenset[Atom]]] = {}
-        for x, v in self.pairs:
-            by_x.setdefault(x, []).append(v)
-        return {x: tuple(vs) for x, vs in by_x.items()}
+    def _bit(self) -> dict[Atom, int]:
+        return {a: 1 << j for j, a in enumerate(self.target_field)}
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[Atom, frozenset[Atom]]]:
+        return frozenset((x, frozenset(v)) for x, v in self._entries())
+
+    def _entries(self) -> Iterable[tuple[Atom, list[Atom]]]:
+        """(element, option atoms) for every option set, in index order."""
+        tgt = self.target_field
+        options = zip(self.source_field, self.options)
+        return ((x, [tgt[j] for j in _bits(v)]) for x, opts in options for v in opts)
 
     def to_json(self):
-        entries = sorted(
-            ((x, tuple(sorted(v))) for x, v in self.pairs),
-            key=lambda e: (e[0], e[1]),
-        )
         return {
             "source_field": [atom_to_json(a) for a in self.source_field],
             "target_field": [atom_to_json(a) for a in self.target_field],
             "pairs": [
                 {"x": atom_to_json(x), "v": [atom_to_json(a) for a in v]}
-                for x, v in entries
+                for x, v in self._entries()
             ],
         }
+
+    def __repr__(self):
+        pairs = ",".join(f"{x!r}:{{{','.join(map(repr, v))}}}" for x, v in self._entries())
+        return f"Trace[{pairs}]"
+
+
+def _trace(source_field, target_field, options: Iterable[Iterable[int]]) -> Trace:
+    """The trace with each source index's option masks deduplicated and ordered."""
+    options = tuple(tuple(sorted(set(opts), key=_index_order)) for opts in options)
+    return Trace(source_field, target_field, options)
+
+
+def _mask(bit: dict[Atom, int], atoms: Iterable[Atom]) -> int:
+    """The OR of ``bit[a]`` over ``atoms``, refusing the first atom outside ``bit``."""
+    mask = 0
+    for a in atoms:
+        b = bit.get(a)
+        if b is None:
+            raise ElementOutsideField(a)
+        mask |= b
+    return mask
 
 
 def mk_trace(
@@ -72,17 +107,13 @@ def mk_trace(
 ) -> Trace:
     src = tuple(sorted(set(source_field)))
     tgt = tuple(sorted(set(target_field)))
-    src_set, tgt_set = set(src), set(tgt)
-    canon = set()
+    bit = {a: 1 << j for j, a in enumerate(tgt)}
+    options: dict[Atom, set[int]] = {x: set() for x in src}
     for x, v in pairs:
-        if x not in src_set:
+        if x not in options:
             raise ElementOutsideField(x)
-        vset = frozenset(v)
-        for a in vset:
-            if a not in tgt_set:
-                raise ElementOutsideField(a)
-        canon.add((x, vset))
-    return Trace(src, tgt, frozenset(canon))
+        options[x].add(_mask(bit, v))
+    return _trace(src, tgt, options.values())
 
 
 def trace_from_json(obj, path: str = "$") -> Trace:
@@ -93,14 +124,12 @@ def trace_from_json(obj, path: str = "$") -> Trace:
     for key in ("source_field", "target_field", "pairs"):
         if not isinstance(obj[key], list):
             raise InputError(f"{path}.{key}: expected a list")
-    src = [
-        atom_from_json(a, f"{path}.source_field[{i}]")
-        for i, a in enumerate(obj["source_field"])
-    ]
-    tgt = [
-        atom_from_json(a, f"{path}.target_field[{i}]")
-        for i, a in enumerate(obj["target_field"])
-    ]
+
+    def atoms(items, where):
+        return [atom_from_json(a, f"{where}[{i}]") for i, a in enumerate(items)]
+
+    src = atoms(obj["source_field"], f"{path}.source_field")
+    tgt = atoms(obj["target_field"], f"{path}.target_field")
     pairs = []
     for i, entry in enumerate(obj["pairs"]):
         if not isinstance(entry, dict) or "x" not in entry or "v" not in entry:
@@ -108,33 +137,41 @@ def trace_from_json(obj, path: str = "$") -> Trace:
         x = atom_from_json(entry["x"], f"{path}.pairs[{i}].x")
         if not isinstance(entry["v"], list):
             raise InputError(f"{path}.pairs[{i}].v: expected a list of atoms")
-        v = [
-            atom_from_json(a, f"{path}.pairs[{i}].v[{j}]")
-            for j, a in enumerate(entry["v"])
-        ]
-        pairs.append((x, v))
+        pairs.append((x, atoms(entry["v"], f"{path}.pairs[{i}].v")))
     try:
         return mk_trace(src, tgt, pairs)
     except ElementOutsideField as exc:
         raise InputError(f"{path}.pairs: {exc}") from exc
 
 
+def _fire(trace: Trace, g: int) -> int:
+    """The source mask of the elements with an option mask inside ``g``."""
+    out = 0
+    for i, opts in enumerate(trace.options):
+        for v in opts:
+            if v & g == v:
+                out |= 1 << i
+                break
+    return out
+
+
+def _images(trace: Trace, system: SetSystem) -> list[int]:
+    """The source mask fired by each member of ``system``, in member order."""
+    if any(a not in trace._bit for a in system.support):
+        raise FieldMismatch("system support is not inside the trace target field")
+    table = [trace._bit[a] for a in system.support]
+    return [_fire(trace, _remap(m, table)) for m in system.member_masks]
+
+
 def apply(trace: Trace, g: Iterable[Atom]) -> frozenset[Atom]:
     """Source elements with some option set inside g."""
-    gset = frozenset(g)
-    tgt = set(trace.target_field)
-    for a in gset:
-        if a not in tgt:
-            raise ElementOutsideField(a)
-    return frozenset(x for x, v in trace.pairs if v <= gset)
+    fired = _fire(trace, _mask(trace._bit, g))
+    return frozenset([x for i, x in enumerate(trace.source_field) if fired >> i & 1])
 
 
 def direct_image(trace: Trace, system: SetSystem) -> SetSystem:
     """The system of member images, over the source field."""
-    if not set(system.support) <= set(trace.target_field):
-        raise FieldMismatch("system support is not inside the trace target field")
-    members = [apply(trace, m) for m in system.member_sets]
-    return _system(trace.source_field, members)
+    return _canonical(trace.source_field, trace.source_field, _images(trace, system))
 
 
 def inverse_image_rel(
@@ -142,16 +179,14 @@ def inverse_image_rel(
 ) -> SetSystem:
     """Relational inverse image of every member; the singleton-lifted trace."""
     rel = tuple(rel)
-    xs = sorted({x for x, _ in rel})
-    members = [
-        frozenset(x for x, y in rel if y in m) for m in system.member_sets
-    ]
-    return _system(xs, members)
+    targets = {y for _, y in rel} | set(system.support)
+    lift = mk_trace((x for x, _ in rel), targets, ((x, (y,)) for x, y in rel))
+    return direct_image(lift, system)
 
 
 def identity_trace(field: Iterable[Atom]) -> Trace:
     f = tuple(sorted(set(field)))
-    return Trace(f, f, frozenset((x, frozenset((x,))) for x in f))
+    return Trace(f, f, tuple((1 << j,) for j in range(len(f))))
 
 
 def empty_trace(source_field: Iterable[Atom], target_field: Iterable[Atom]) -> Trace:
@@ -159,11 +194,11 @@ def empty_trace(source_field: Iterable[Atom], target_field: Iterable[Atom]) -> T
 
 
 def branching_degree(trace: Trace) -> int:
-    return max((len(vs) for vs in trace.options.values()), default=0)
+    return max(map(len, trace.options), default=0)
 
 
 def is_linear(trace: Trace) -> bool:
-    return all(len(v) <= 1 for _, v in trace.pairs)
+    return all(v & (v - 1) == 0 for opts in trace.options for v in opts)
 
 
 def is_sequential(trace: Trace) -> bool:
@@ -172,13 +207,11 @@ def is_sequential(trace: Trace) -> bool:
 
 def canonicalize(trace: Trace) -> Trace:
     """Keep only inclusion-minimal option sets per source element."""
-    kept = []
-    for x, vs in trace.options.items():
-        uniq = set(vs)
-        for v in uniq:
-            if not any(w < v for w in uniq):
-                kept.append((x, v))
-    return Trace(trace.source_field, trace.target_field, frozenset(kept))
+    options = tuple(
+        tuple(v for v in opts if not any(w & v == w != v for w in opts))
+        for opts in trace.options
+    )
+    return Trace(trace.source_field, trace.target_field, options)
 
 
 def compose(outer: Trace, inner: Trace) -> Trace:
@@ -187,31 +220,23 @@ def compose(outer: Trace, inner: Trace) -> Trace:
     Option sets multiply out (one inner option per outer option element);
     the result is canonicalized to keep the expansion in check.  More than
     ``COMPOSE_OPTION_BOUND`` option sets in all are refused before any is
-    built: the count is summed over the source elements in sorted order and
+    built: the count is summed over the source elements in index order and
     tested after each, so the refusal names the same count in every process.
     """
     if outer.target_field != inner.source_field:
         raise FieldMismatch("outer target field must equal inner source field")
-    inner_opts, outer_opts = inner.options, outer.options
-    expansions = []
-    count = 0
-    for x in sorted(outer_opts):
-        for v in outer_opts[x]:
-            pools = [inner_opts.get(y) for y in sorted(v)]
-            if any(p is None for p in pools):
-                continue
-            count += math.prod(map(len, pools))
-            expansions.append((x, pools))
+    pools = [[[inner.options[y] for y in _bits(v)] for v in opts] for opts in outer.options]
+    sizes = (sum(math.prod(map(len, p)) for p in per_x) for per_x in pools)
+    for count in itertools.accumulate(sizes):
         if count > COMPOSE_OPTION_BOUND:
             raise UniverseTooLarge(
                 f"at least {count}", COMPOSE_OPTION_BOUND, "composition", "option sets"
             )
-    pairs = [
-        (x, frozenset().union(*combo))
-        for x, pools in expansions
-        for combo in itertools.product(*pools)
+    options = [
+        {reduce(int.__or__, combo, 0) for p in per_x for combo in itertools.product(*p)}
+        for per_x in pools
     ]
-    return canonicalize(Trace(outer.source_field, inner.target_field, frozenset(pairs)))
+    return canonicalize(_trace(outer.source_field, inner.target_field, options))
 
 
 def discoloration_trace(n: int, field: Iterable[Atom]) -> Trace:
@@ -235,8 +260,11 @@ def intersection_trace(field_l: Iterable[Atom], field_m: Iterable[Atom]) -> Trac
 
 
 def bang_trace(field: Iterable[Atom]) -> Trace:
-    """Relates each finset atom over the field to its own element set."""
+    """Relates each finset atom over the field to its own element set; a field
+    over ``BANG_SUPPORT_BOUND`` is refused before anything is built."""
     f = tuple(sorted(set(field)))
+    if len(f) > BANG_SUPPORT_BOUND:
+        raise UniverseTooLarge(len(f), BANG_SUPPORT_BOUND, "field")
     subsets = [
         tuple(c) for r in range(len(f) + 1) for c in itertools.combinations(f, r)
     ]
@@ -250,7 +278,7 @@ def ss_functor(sim: Simulation) -> Trace:
     return Trace(
         sim.source.elements,
         sim.target.elements,
-        frozenset((x, frozenset((y,))) for x, y in sim.pairs),
+        tuple(tuple(1 << j for j in _bits(row)) for row in sim.rows),
     )
 
 
@@ -266,8 +294,8 @@ def qo_functor(trace: Trace, source_qo: QuasiOrder, target_qo: QuasiOrder) -> Si
         raise FieldMismatch("source field does not match the source carrier")
     if trace.target_field != target_qo.elements:
         raise FieldMismatch("target field does not match the target carrier")
-    rel = frozenset((x, next(iter(v))) for x, v in trace.pairs if v)
-    return Simulation(source_qo, target_qo, rel)
+    rows = [reduce(int.__or__, opts, 0) for opts in trace.options]
+    return _simulation(source_qo, target_qo, rows)
 
 
 def coproduct(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
@@ -275,10 +303,10 @@ def coproduct(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
     if not systems:
         raise EmptyOperandList("coproduct needs at least one operand")
     carrier = tagged_union(*systems)
-    injections = []
-    for j, s in enumerate(systems):
-        pairs = [(tagged(x, j + 1), (x,)) for x in s.support]
-        injections.append(mk_trace(carrier.universe, s.support, pairs))
+    injections = [
+        mk_trace(carrier.universe, s.support, [(tagged(x, j + 1), (x,)) for x in s.support])
+        for j, s in enumerate(systems)
+    ]
     return carrier, injections
 
 
@@ -287,10 +315,10 @@ def product(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:
     if not systems:
         raise EmptyOperandList("product needs at least one operand")
     carrier = ew_disjoint(*systems)
-    projections = []
-    for j, s in enumerate(systems):
-        pairs = [(x, (tagged(x, j + 1),)) for x in s.support]
-        projections.append(mk_trace(s.support, carrier.universe, pairs))
+    projections = [
+        mk_trace(s.support, carrier.universe, [(x, (tagged(x, j + 1),)) for x in s.support])
+        for j, s in enumerate(systems)
+    ]
     return carrier, projections
 
 
@@ -308,13 +336,10 @@ def mediating_cocone(legs: Sequence[Trace]) -> Trace:
     for leg in legs:
         if leg.source_field != src:
             raise FieldMismatch("cocone legs must share their source field")
-    target = [
-        tagged(a, j + 1) for j, leg in enumerate(legs) for a in leg.target_field
+    target = [tagged(a, j + 1) for j, leg in enumerate(legs) for a in leg.target_field]
+    pairs = [
+        (y, [tagged(a, j + 1) for a in v]) for j, leg in enumerate(legs) for y, v in leg.pairs
     ]
-    pairs = []
-    for j, leg in enumerate(legs):
-        for y, v in leg.pairs:
-            pairs.append((y, tuple(tagged(a, j + 1) for a in v)))
     return mk_trace(src, target, pairs)
 
 
@@ -326,13 +351,8 @@ def mediating_cone(legs: Sequence[Trace]) -> Trace:
     for leg in legs:
         if leg.target_field != tgt:
             raise FieldMismatch("cone legs must share their target field")
-    source = [
-        tagged(a, j + 1) for j, leg in enumerate(legs) for a in leg.source_field
-    ]
-    pairs = []
-    for j, leg in enumerate(legs):
-        for s, v in leg.pairs:
-            pairs.append((tagged(s, j + 1), tuple(v)))
+    source = [tagged(a, j + 1) for j, leg in enumerate(legs) for a in leg.source_field]
+    pairs = [(tagged(s, j + 1), v) for j, leg in enumerate(legs) for s, v in leg.pairs]
     return mk_trace(source, tgt, pairs)
 
 
@@ -340,9 +360,5 @@ def equalizer(first: Trace, second: Trace, system: SetSystem) -> SetSystem:
     """Members on which both traces act identically."""
     if first.source_field != second.source_field or first.target_field != second.target_field:
         raise FieldMismatch("equalizer needs two parallel traces")
-    if not set(system.support) <= set(first.target_field):
-        raise FieldMismatch("system support is not inside the trace target field")
-    members = [
-        m for m in system.member_sets if apply(first, m) == apply(second, m)
-    ]
-    return _system(system.universe, members)
+    images = zip(system.member_masks, _images(first, system), _images(second, system))
+    return _canonical(system.universe, system.support, [m for m, a, b in images if a == b])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from typing import NamedTuple
 
 from ordkit import (
     QuasiOrder,
@@ -23,9 +24,15 @@ from ordkit import (
     otp,
     ramsey,
 )
-from ordkit.errors import CarrierMismatch, NotALattice
+from ordkit.errors import (
+    CarrierMismatch,
+    FieldMismatch,
+    NotALattice,
+    NotASimulation,
+    NotLinear,
+)
 from ordkit.generators import all_preorder_rows
-from ordkit.systems import _canonical
+from ordkit.systems import _canonical, _system
 
 
 def nats(n: int) -> tuple:
@@ -476,3 +483,154 @@ def random_simulation_reference(rng, src: QuasiOrder, tgt: QuasiOrder) -> Simula
                     pairs.add((x2, y))
                     changed = True
     return Simulation(src, tgt, frozenset(pairs))
+
+
+class TraceReference(NamedTuple):
+    """A trace in the atom form: ``pairs`` is a frozenset of (source
+    element, frozenset of target atoms), over sorted fields."""
+
+    source_field: tuple
+    target_field: tuple
+    pairs: frozenset
+
+    @property
+    def options(self) -> dict:
+        by_x: dict = {}
+        for x, v in self.pairs:
+            by_x.setdefault(x, []).append(v)
+        return {x: tuple(vs) for x, vs in by_x.items()}
+
+
+def trace_reference(source_field, target_field, pairs) -> TraceReference:
+    """The atom-form trace of ``pairs``, which must lie inside the fields."""
+    return TraceReference(
+        tuple(sorted(set(source_field))),
+        tuple(sorted(set(target_field))),
+        frozenset((x, frozenset(v)) for x, v in pairs),
+    )
+
+
+def trace_to_json_reference(trace: TraceReference):
+    """The JSON form, pairs sorted on (element, sorted option atoms)."""
+    entries = sorted(
+        ((x, tuple(sorted(v))) for x, v in trace.pairs),
+        key=lambda e: (e[0], e[1]),
+    )
+    return {
+        "source_field": [atom_to_json(a) for a in trace.source_field],
+        "target_field": [atom_to_json(a) for a in trace.target_field],
+        "pairs": [
+            {"x": atom_to_json(x), "v": [atom_to_json(a) for a in v]}
+            for x, v in entries
+        ],
+    }
+
+
+def apply_reference(trace: TraceReference, g) -> frozenset:
+    """Source elements with some option set inside g."""
+    gset = frozenset(g)
+    return frozenset(x for x, v in trace.pairs if v <= gset)
+
+
+def direct_image_reference(trace: TraceReference, system: SetSystem) -> SetSystem:
+    """The system of member images, over the source field."""
+    if not set(system.support) <= set(trace.target_field):
+        raise FieldMismatch("system support is not inside the trace target field")
+    members = [apply_reference(trace, m) for m in system.member_sets]
+    return _system(trace.source_field, members)
+
+
+def inverse_image_rel_reference(rel, system: SetSystem) -> SetSystem:
+    """Relational inverse image of every member, pair by pair."""
+    rel = tuple(rel)
+    xs = sorted({x for x, _ in rel})
+    members = [
+        frozenset(x for x, y in rel if y in m) for m in system.member_sets
+    ]
+    return _system(xs, members)
+
+
+def canonicalize_reference(trace: TraceReference) -> TraceReference:
+    """Keep only inclusion-minimal option sets per source element."""
+    kept = []
+    for x, vs in trace.options.items():
+        uniq = set(vs)
+        for v in uniq:
+            if not any(w < v for w in uniq):
+                kept.append((x, v))
+    return TraceReference(trace.source_field, trace.target_field, frozenset(kept))
+
+
+def compose_reference(outer: TraceReference, inner: TraceReference) -> TraceReference:
+    """Each outer option set multiplied out, one inner option per element,
+    skipping an option set with an element that has no inner options."""
+    if outer.target_field != inner.source_field:
+        raise FieldMismatch("outer target field must equal inner source field")
+    inner_opts, outer_opts = inner.options, outer.options
+    pairs = []
+    for x in sorted(outer_opts):
+        for v in outer_opts[x]:
+            pools = [inner_opts.get(y) for y in sorted(v)]
+            if any(p is None for p in pools):
+                continue
+            pairs += [(x, frozenset().union(*combo)) for combo in itertools.product(*pools)]
+    return canonicalize_reference(
+        TraceReference(outer.source_field, inner.target_field, frozenset(pairs))
+    )
+
+
+def equalizer_reference(
+    first: TraceReference, second: TraceReference, system: SetSystem
+) -> SetSystem:
+    """Members on which both traces act identically."""
+    if first.source_field != second.source_field or first.target_field != second.target_field:
+        raise FieldMismatch("equalizer needs two parallel traces")
+    if not set(system.support) <= set(first.target_field):
+        raise FieldMismatch("system support is not inside the trace target field")
+    members = [
+        m for m in system.member_sets
+        if apply_reference(first, m) == apply_reference(second, m)
+    ]
+    return _system(system.universe, members)
+
+
+def ss_functor_reference(sim: Simulation) -> TraceReference:
+    """The singleton lift of the simulation's atom pairs."""
+    if not is_simulation_reference(sim):
+        raise NotASimulation("the relation does not satisfy the simulation law")
+    return TraceReference(
+        sim.source.elements,
+        sim.target.elements,
+        frozenset((x, frozenset((y,))) for x, y in sim.pairs),
+    )
+
+
+def qo_functor_reference(
+    trace: TraceReference, source_qo: QuasiOrder, target_qo: QuasiOrder
+) -> Simulation:
+    """A linear trace read back as a relation, empty option sets dropped."""
+    if not all(len(v) <= 1 for _, v in trace.pairs):
+        raise NotLinear("trace has an option set with more than one element")
+    if trace.source_field != source_qo.elements:
+        raise FieldMismatch("source field does not match the source carrier")
+    if trace.target_field != target_qo.elements:
+        raise FieldMismatch("target field does not match the target carrier")
+    rel = frozenset((x, next(iter(v))) for x, v in trace.pairs if v)
+    return Simulation(source_qo, target_qo, rel)
+
+
+def sequential_traces_reference(source, target, include_empty_options: bool = True):
+    """Every trace with at most one option set per source element: per
+    element no option, or one subset of the target (by counting mask)."""
+    lo = 0 if include_empty_options else 1
+    per_x = [
+        [None] + [m for m in range(1 << len(target)) if bin(m).count("1") >= lo]
+        for _ in source
+    ]
+    for combo in itertools.product(*per_x):
+        pairs = [
+            (x, tuple(a for i, a in enumerate(target) if mask >> i & 1))
+            for x, mask in zip(source, combo)
+            if mask is not None
+        ]
+        yield trace_reference(source, target, pairs)

@@ -191,6 +191,19 @@ def test_compose_over_budget_exits_2(runner, tmp_path):
     _bad_input_exit(result, f"composition has at least {2**40} option sets, limit is 65536")
 
 
+def _cli_under_hash_seeds(seeds, *args):
+    """``ordkit`` run as a fresh process under each ``PYTHONHASHSEED``."""
+    src = str(Path(ordkit.__file__).parents[1])
+    return [
+        subprocess.run(
+            [sys.executable, "-m", "ordkit.cli", *args],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        for seed in seeds
+    ]
+
+
 def test_compose_refusal_count_ignores_the_hash_seed(tmp_path):
     # outer pairs expanding to 2**10, 2**15 and 2**17 option sets: in sorted
     # source order the bound is crossed only by the third
@@ -206,18 +219,41 @@ def test_compose_refusal_count_ignores_the_hash_seed(tmp_path):
         "source_field": mid, "target_field": low,
         "pairs": [{"x": v[:-1], "v": [v]} for v in low],
     }))
-    src = str(Path(ordkit.__file__).parents[1])
-    for hash_seed in range(6):
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
-        result = subprocess.run(
-            [sys.executable, "-m", "ordkit.cli", "trace", "compose", str(outer), str(inner)],
-            env=env, capture_output=True, text=True,
-        )
+    results = _cli_under_hash_seeds(range(6), "trace", "compose", str(outer), str(inner))
+    for hash_seed, result in enumerate(results):
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith(
             "error: composition has at least 164864 option sets, limit is 65536"
         ), (hash_seed, result.stderr)
 
+
+def test_trace_compose_text_ignores_the_hash_seed(tmp_path):
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps({
+        "source_field": ["x", "y", "z"], "target_field": ["a", "b", "c"],
+        "pairs": [{"x": "x", "v": ["a", "b"]}, {"x": "x", "v": ["c"]}, {"x": "y", "v": []},
+                  {"x": "z", "v": ["b"]}, {"x": "z", "v": ["a", "c"]}],
+    }))
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({
+        "source_field": ["a", "b", "c"], "target_field": ["0", "1", "2"],
+        "pairs": [{"x": "a", "v": ["0"]}, {"x": "a", "v": ["1", "2"]}, {"x": "b", "v": ["2"]},
+                  {"x": "c", "v": ["0", "1"]}, {"x": "c", "v": ["2"]}],
+    }))
+    for result in _cli_under_hash_seeds((0, 1), "trace", "compose", str(outer), str(inner)):
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "Trace[x:{0,1},x:{2},y:{},z:{0,1},z:{2}]\n"
+
+
+def test_out_of_field_error_names_the_first_bad_atom_given(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "source_field": ["x"], "target_field": ["a"],
+        "pairs": [{"x": "x", "v": ["k", "l", "m", "n"]}],
+    }))
+    for result in _cli_under_hash_seeds((0, 1), "trace", "classify", str(bad)):
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: {bad}.pairs: k is not in the trace field\n")
 
 def test_disjoint_over_budget_exits_2(runner, tmp_path):
     four = tmp_path / "four.json"

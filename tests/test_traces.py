@@ -42,6 +42,7 @@ from ordkit import (
     ss,
     ss_functor,
 )
+from ordkit import traces
 from ordkit.errors import (
     ElementOutsideField,
     FieldMismatch,
@@ -61,6 +62,7 @@ from ordkit.generators import (
     sequential_traces,
 )
 from ordkit.ramsey import check_image_bound
+from ordkit.systems import BANG_SUPPORT_BOUND
 from ordkit.traces import COMPOSE_OPTION_BOUND
 
 from .oracles import nats, system
@@ -81,8 +83,9 @@ def test_apply_examples():
     t = mk_trace([x], [y], [(x, ())])
     assert apply(t, ()) == frozenset({x})
     assert apply(t, (y,)) == frozenset({x})
-    with pytest.raises(ElementOutsideField):
-        apply(ident, [leaf("9")])
+    with pytest.raises(ElementOutsideField) as exc:
+        apply(ident, [u[0], leaf("9"), leaf("7"), leaf("8")])
+    assert exc.value.atom == leaf("9")  # the first one given, whatever the hash seed
 
 
 def test_direct_image_identity_and_errors():
@@ -120,6 +123,22 @@ def test_bang_trace_fixture():
         s = system(n, *[tuple(range(k)) for k in range(n + 1)])
         bt = bang_trace(s.support)
         assert direct_image(bt, s).family == bang(s).family
+
+
+def test_bang_trace_refuses_a_field_over_budget(monkeypatch):
+    field = [leaf(f"a{i}") for i in range(BANG_SUPPORT_BOUND + 1)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseTooLarge, match="field has 17 elements, limit is 16"):
+            bang_trace(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    monkeypatch.setattr(traces, "BANG_SUPPORT_BOUND", 3)
+    assert len(bang_trace(field[:3]).source_field) == 8
+    with pytest.raises(UniverseTooLarge, match="field has 4 elements, limit is 3"):
+        bang_trace(field[:4])
 
 
 def test_bang_bridge_relational_equality():
