@@ -23,7 +23,9 @@ reach them through ``ordkit.kernels``:
   transposition that an earlier boundary decided stays decided, because
   the rows it compared do not change, and one that tied there is decided
   by the one new row, so each boundary rereads whole rows only for the
-  transpositions that move the newest vertex.
+  transpositions that move the newest vertex.  Before any search, a
+  degree window refutes K_n outright when no vertex degree can be valid
+  (see "The Ramsey degree window" below).
 
 The production search.  Let ``contains[t]`` be the set of members holding
 element ``t``.  Then ``V(empty) = 0`` and ``V(C) = 1 + max V(C & contains[t])``
@@ -34,9 +36,36 @@ contains[t])``.  Why: the covers of ``seen | {t}`` are exactly
 ``cover(seen) & contains[t]``, and some hypothesis in ``C`` leaves ``t``
 fresh exactly when that set differs from ``C``.
 
+The production ceiling.  ``rank`` stops scanning the moves from ``C`` once
+its best value reaches ``min(len(nexts), |C| - 1)``, where ``nexts`` is
+the set of distinct covers ``C & contains[t]`` other than ``C``.  Both
+counts bound ``max V(next)``, so the memo stays exact.  That maximum is
+the longest chain ``C > C_1 > ... > C_k`` of nonempty covers, where
+``C_i = C_{i-1} & contains[t_i]``, so ``k <= |C| - 1``.  And the sets
+``D_i = C & contains[t_i]`` are ``k`` distinct members of ``nexts``:
+each differs from ``C`` because ``contains[t_i]`` misses a member of
+``C_{i-1}``, and were ``D_i == D_j`` with ``i < j``, then ``C_{j-1}``,
+which lies inside ``D_i``, would lie inside ``contains[t_j]``, and move
+``j`` would not shrink it.  The second count is the one that binds on
+antichain up-sets, where ``|C|`` is exponential in the support but
+``len(nexts)`` is linear in it.
+
 One solver, and so one memo, is shared per (deduplicated members, support)
 in a small LRU cache, so a witness extraction reuses the memo that the
 rank just filled.  Memo values are pure functions of that key.
+
+The Ramsey degree window.  Let ``U(a, b)`` be the Greenwood–Gleason bound:
+``U = 1`` when ``min(a, b) = 1``, ``U = max(a, b)`` when ``min(a, b) = 2``,
+and otherwise ``U(a-1, b) + U(a, b-1)``, less 1 when both terms are even
+(Canad. J. Math. 7, 1955); ``U(a, b) >= R(a, b)``.  In a coloring of K_n
+with no color-0 K_l1 and no color-1 K_l2, the color-0 neighbours of a
+vertex hold no color-0 K_{l1-1} and no color-1 K_l2, so there are at most
+``U(l1-1, l2) - 1`` of them; likewise at most ``U(l1, l2-1) - 1`` color-1
+neighbours, so at least ``n - U(l1, l2-1)`` color-0 ones.  When that
+window is empty, or is one degree ``d`` with ``n * d`` odd (the degrees
+sum to twice the edge count), no valid coloring exists.  The window is
+arithmetic only and is checked once, before the search: it refutes K_9
+for (3, 4), K_14 for (3, 5) and K_18 for (4, 4).
 """
 
 from __future__ import annotations
@@ -68,17 +97,19 @@ class _ProductionSolver:
         val = memo.get(cover)
         if val is not None:
             return val
+        nexts = {cover & c for c in self.columns}
+        nexts.discard(cover)
+        # max V(next) is at most either count ("The production ceiling" above)
+        ceiling = min(len(nexts), cover.bit_count() - 1)
         best = 0
-        ceiling = cover.bit_count() - 1  # each move strictly shrinks the cover
-        for nxt in {cover & c for c in self.columns}:
-            if nxt != cover:
-                r = memo.get(nxt)
-                if r is None:
-                    r = self.rank(nxt)
-                if r > best:
-                    best = r
-                    if best == ceiling:
-                        break
+        for nxt in nexts:
+            r = memo.get(nxt)
+            if r is None:
+                r = self.rank(nxt)
+            if r > best:
+                best = r
+                if best == ceiling:
+                    break
         memo[cover] = best + 1
         return best + 1
 
@@ -156,6 +187,42 @@ def bad_sequence_rank(up_masks: Sequence[int]) -> int:
     return rank(0)
 
 
+def _ramsey_ceiling(a: int, b: int) -> int:
+    """U(a, b) >= R(a, b) for a, b >= 1, by the Greenwood–Gleason recurrence.
+
+    U = 1 when min(a, b) = 1 and U = max(a, b) when min(a, b) = 2;
+    otherwise U(a, b) = U(a-1, b) + U(a, b-1), less 1 when both terms are
+    even (Greenwood & Gleason, Canad. J. Math. 7, 1955).
+    """
+    a, b = min(a, b), max(a, b)
+    if a == 1:
+        return 1
+    row = list(range(b + 1))  # row[k] = U(i, k) for 2 <= k <= b, from i = 2
+    for i in range(3, a + 1):
+        row[2] = i
+        for k in range(3, b + 1):
+            up, left = row[k], row[k - 1]  # U(i-1, k) and U(i, k-1)
+            row[k] = up + left - 1 if (up | left) % 2 == 0 else up + left
+    return row[b]
+
+
+def _refuted_by_degrees(l1: int, l2: int, n: int) -> bool:
+    """True when no coloring of K_n can satisfy the degree window; l1, l2 >= 2.
+
+    In a valid coloring the color-0 degree of every vertex lies in
+    [n - U(l1, l2-1), U(l1-1, l2) - 1] (see ``ramsey_search``).  A clique
+    size above n never refutes, since U(a, b) >= max(a, b) once
+    min(a, b) >= 2 and U >= 1 always: if l2 > n the window holds 0, and if
+    l1 > n it holds n - 1, and n times either is even.  So U is only
+    computed for sizes up to n, in O(n**2) steps.
+    """
+    if max(l1, l2) > n:
+        return False
+    lo = n - _ramsey_ceiling(l1, l2 - 1)
+    hi = _ramsey_ceiling(l1 - 1, l2) - 1
+    return lo > hi or lo == hi and n * lo % 2 == 1
+
+
 def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
     """Search K_n for a coloring with no clique of size l1 in color 0 nor l2 in color 1.
 
@@ -193,10 +260,21 @@ def ramsey_search(l1: int, l2: int, n: int) -> Optional[list[int]]:
     that is unless the common color-c neighbours of i and j hold a clique
     of size l_c - 2.  A color with l_c = 2 is never offered, size 1 is
     tested inline, and ``clique`` answers sizes 2 and up.
+
+    Before the search, the degree window returns None without a node.  In
+    a valid coloring, the color-0 neighbours of a vertex span no color-0
+    K_{l1-1} and no color-1 K_l2, so they number fewer than R(l1-1, l2);
+    its color-1 neighbours number fewer than R(l1, l2-1).  So every color-0
+    degree lies in [n - U(l1, l2-1), U(l1-1, l2) - 1], where U >= R is the
+    Greenwood–Gleason bound (``_ramsey_ceiling``).  If the window is empty,
+    or is a single degree d with n * d odd, which no graph has since the
+    degrees sum to twice the edge count, there is no valid coloring.  The
+    window only ever answers None where the search would, so the coloring
+    returned and the nodes visited otherwise stay as they were.
     """
     if l1 < 1 or l2 < 1 or n < 1:
         raise ValueError("clique sizes and vertex count must be positive")
-    if l1 == 1 or l2 == 1:
+    if l1 == 1 or l2 == 1 or _refuted_by_degrees(l1, l2, n):
         return None
     edges = [(i, j) for j in range(n) for i in range(j)]
     m = len(edges)

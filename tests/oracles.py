@@ -24,6 +24,7 @@ from ordkit import (
     otp,
     ramsey,
 )
+from ordkit._kernels_py import _ProductionSolver
 from ordkit.errors import (
     CarrierMismatch,
     FieldMismatch,
@@ -133,6 +134,33 @@ def naive_dim(sys: SetSystem) -> int:
         return best
 
     return depth((), ())
+
+
+class _ProductionSolverReference(_ProductionSolver):
+    """A production solver whose ``rank`` stops a scan only at ``|C| - 1``,
+    without the successor-count ceiling; its memo holds every state it ranked."""
+
+    def rank(self, cover: int) -> int:
+        memo = self.memo
+        val = memo.get(cover)
+        if val is not None:
+            return val
+        best = 0
+        ceiling = cover.bit_count() - 1  # each move strictly shrinks the cover
+        for nxt in {cover & c for c in self.columns}:
+            if nxt != cover:
+                r = memo.get(nxt)
+                if r is None:
+                    r = self.rank(nxt)
+                if r > best:
+                    best = r
+                    if best == ceiling:
+                        break
+        memo[cover] = best + 1
+        return best + 1
+
+
+production_solver_reference = _ProductionSolverReference
 
 
 def naive_otp(qo: QuasiOrder) -> int:

@@ -12,12 +12,13 @@ from ordkit import (
     longest_production_sequence,
     mk_qo,
     mk_system,
+    production,
     ss,
 )
 from ordkit.atoms import atom_to_json
-from ordkit.generators import all_systems, random_system
+from ordkit.generators import all_quasi_orders, all_systems, random_system
 
-from .oracles import naive_dim
+from .oracles import naive_dim, production_solver_reference
 
 
 def small_systems():
@@ -140,3 +141,53 @@ def test_solver_cache_stays_bounded():
         py.production_rank(tuple(rng.randrange(1, 64) for _ in range(6)), 63)
     info = py._solver.cache_info()
     assert info.maxsize == 8 and info.currsize <= info.maxsize
+
+
+def ceiling_cases():
+    """Every system on at most 3 points, the up-sets of every labelled
+    quasi-order on at most 4 points, then 300 seeded systems."""
+    for n in range(4):
+        yield from all_systems(n)
+    for n in range(5):
+        for qo in all_quasi_orders(n):
+            yield ss(qo)
+    rng = random.Random(19)
+    for _ in range(300):
+        yield random_system(rng, rng.randint(4, 6), 12)
+
+
+def ranked(solver_class, system):
+    """The rank of every opening cover of ``system``, and the memo's size after."""
+    masks, support_mask = mask_args(system)
+    solver = solver_class(tuple(dict.fromkeys(masks)), support_mask)
+    return [solver.rank(c) for c in sorted(set(solver.contains.values()))], len(solver.memo)
+
+
+def dim_and_witness(system):
+    production._dim_cached.cache_clear()
+    return dim(system), witness_json(system)
+
+
+def test_production_ceiling_matches_the_reference_and_never_grows_the_memo(monkeypatch):
+    cases = list(ceiling_cases())
+    for system in cases:
+        ranks, states = ranked(py._ProductionSolver, system)
+        want_ranks, want_states = ranked(production_solver_reference, system)
+        assert ranks == want_ranks and states <= want_states, system
+    py._solver.cache_clear()
+    ours = [dim_and_witness(system) for system in cases]
+    monkeypatch.setattr(py, "_solver", lru_cache(maxsize=8)(production_solver_reference))
+    assert [dim_and_witness(system) for system in cases] == ours
+    production._dim_cached.cache_clear()
+
+
+def test_production_ceiling_memo_states_are_pinned():
+    # the successor-count ceiling cuts the antichain up-sets from 2**k
+    # states; the co-singletons need the |C| - 1 ceiling as well, without
+    # which they take 16,383
+    antichain_up_sets = [ss(mk_qo([leaf(str(i)) for i in range(k)])) for k in (9, 12)]
+    assert [ranked(py._ProductionSolver, s)[1] for s in antichain_up_sets] == [46, 90]
+    u = [leaf(str(i)) for i in range(14)]
+    co_singletons = mk_system(u, [[a for a in u if a != b] for b in u])
+    assert dim(co_singletons) == 13
+    assert ranked(py._ProductionSolver, co_singletons)[1] == 113

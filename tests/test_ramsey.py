@@ -26,7 +26,8 @@ from ordkit import (
     ram_upper,
     ram_verify,
 )
-from ordkit import kernels, ramsey
+from ordkit import _kernels_py, kernels, ramsey
+from ordkit._kernels_py import _ramsey_ceiling, _refuted_by_degrees
 from ordkit.cli import main
 from ordkit.errors import CarrierMismatch, InvalidQuery, SearchBoundExceeded, UniverseTooLarge
 from ordkit.generators import all_quasi_orders, all_systems, random_system
@@ -178,6 +179,67 @@ def test_ramsey_search_k13_coloring_for_35_is_pinned():
 def test_ramsey_search_refutes_beyond_r34(l1, l2, n):
     # R(3,4) = 9: every coloring of K_9 has a red l1-clique or a black l2-clique
     assert kernels.ramsey_search(l1, l2, n) is None
+
+
+@pytest.mark.parametrize(
+    "l1, l2, n", [(3, 4, 9), (4, 3, 9), (3, 5, 14), (5, 3, 14), (4, 4, 18)]
+)
+def test_degree_window_refutes_without_a_search_node(l1, l2, n):
+    results = []
+    entries = _entries(lambda: results.append(kernels.ramsey_search(l1, l2, n)))
+    assert results == [None] and entries["dfs"] == 0
+
+
+@pytest.mark.parametrize(
+    "l1, l2, n", [(2, 3, 3), (4, 2, 4), (3, 3, 6), (3, 3, 8), (3, 4, 9), (4, 3, 9), (3, 4, 10)]
+)
+def test_search_alone_refutes_where_the_window_does(monkeypatch, l1, l2, n):
+    # every None of the grid now comes from the window, so switch it off to
+    # keep an exhausted search covered
+    assert _refuted_by_degrees(l1, l2, n)
+    monkeypatch.setattr(_kernels_py, "_refuted_by_degrees", lambda *args: False)
+    assert kernels.ramsey_search(l1, l2, n) is None
+
+
+# R(a, b) from Radziszowski, "Small Ramsey Numbers", Electron. J. Combin. DS1
+_KNOWN_RAMSEY = {
+    **{(3, b): r for b, r in zip(range(3, 10), (6, 9, 14, 18, 23, 28, 36))},
+    (4, 4): 18,
+    (4, 5): 25,
+}
+
+
+@pytest.mark.parametrize("pair, r", sorted(_KNOWN_RAMSEY.items()))
+def test_ramsey_ceiling_bounds_the_known_values(pair, r):
+    a, b = pair
+    assert _ramsey_ceiling(a, b) >= r and _ramsey_ceiling(b, a) >= r
+
+
+@pytest.mark.parametrize("pair, r", sorted(_KNOWN_RAMSEY.items()))
+def test_degree_window_never_refutes_below_the_known_value(pair, r):
+    # K_{R-1} has a valid coloring, so a sound window must leave it to the search
+    a, b = pair
+    assert not _refuted_by_degrees(a, b, r - 1)
+    assert not _refuted_by_degrees(b, a, r - 1)
+
+
+def test_degree_window_skips_clique_sizes_beyond_n():
+    def window_refutes(l1, l2, n):
+        lo = n - _ramsey_ceiling(l1, l2 - 1)
+        hi = _ramsey_ceiling(l1 - 1, l2) - 1
+        return lo > hi or lo == hi and n * lo % 2 == 1
+
+    for n in range(1, 13):
+        for l1, l2 in itertools.product(range(2, 16), repeat=2):
+            assert _refuted_by_degrees(l1, l2, n) == window_refutes(l1, l2, n)
+    # U at these sizes would take about 10**12 additions; the window must not compute it
+    assert kernels.ramsey_search(10**6, 10**6, 5) == [0] * 10
+
+
+def test_ramsey_ceiling_base_rows_and_recurrence():
+    assert [_ramsey_ceiling(1, b) for b in range(1, 5)] == [1, 1, 1, 1]
+    assert [_ramsey_ceiling(2, b) for b in range(2, 6)] == [2, 3, 4, 5]
+    assert (_ramsey_ceiling(3, 4), _ramsey_ceiling(3, 5), _ramsey_ceiling(4, 4)) == (9, 14, 18)
 
 
 # sha256 of `ordkit --json ramsey verify L1 L2 N` output, recorded at 4689932,
