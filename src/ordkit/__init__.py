@@ -30,6 +30,7 @@ from .orders import (
     is_simulation,
     linearizations,
     mk_qo,
+    mk_simulation,
     otp,
     qo_of,
     ss,
@@ -43,7 +44,6 @@ from .production import (
 )
 from .ramsey import (
     BoundReport,
-    RamseyQuery,
     check_image_bound,
     check_union_bound,
     check_wqo_intersection_bound,

@@ -451,7 +451,7 @@ def run_functor_laws(report, rng, trials, bound):
                         if not is_simulation(cand):
                             continue
                         back = qo_functor(ss_functor(cand), x, y)
-                        if back.pairs != cand.pairs:
+                        if back.rows != cand.rows:
                             report.fail(2, {"X": x.to_json(), "Y": y.to_json(),
                                             "R": sorted(map(repr, cand.pairs))})
     for _ in range(trials):
@@ -461,7 +461,7 @@ def run_functor_laws(report, rng, trials, bound):
         r = random_simulation(rng, x, y)
         s = random_simulation(rng, y, z)
         back = qo_functor(ss_functor(r), x, y)
-        if back.pairs != r.pairs:
+        if back.rows != r.rows:
             report.fail(2, {"X": x.to_json()})
         lhs = ss_functor(compose_simulations(s, r))
         rhs = compose(ss_functor(r), ss_functor(s))

@@ -11,7 +11,7 @@ import random
 from typing import Iterator
 
 from .atoms import Atom, leaf
-from .orders import QuasiOrder, Simulation, _closure, _simulation
+from .orders import QuasiOrder, Simulation, _closure
 from .systems import SetSystem, _bits, _canonical, _remap
 from .traces import Trace, mk_trace
 
@@ -180,7 +180,7 @@ def random_simulation(
     simulation, and the result depends on ``rng`` alone.
     """
     if not tgt.elements:
-        return Simulation(src, tgt, frozenset())
+        return Simulation(src, tgt, (0,) * len(src.elements))
     rows = [0] * len(src.elements)
     for i in range(len(rows)):
         if rng.random() < 0.7:
@@ -190,12 +190,15 @@ def random_simulation(
             for j in _bits(src.up[i]):
                 if not rows[j] & tgt.up[y]:
                     rows[j] |= 1 << y
-    return _simulation(src, tgt, rows)
+    return Simulation(src, tgt, tuple(rows))
 
 
 def all_relations(src: QuasiOrder, tgt: QuasiOrder) -> Iterator[Simulation]:
-    """Every relation between two carriers, wrapped as a candidate simulation."""
-    cells = [(x, y) for x in src.elements for y in tgt.elements]
-    for mask in range(1 << len(cells)):
-        rel = frozenset(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        yield Simulation(src, tgt, rel)
+    """Every relation between two carriers, wrapped as a candidate simulation.
+
+    Row i of relation ``mask`` is its m-bit slice at ``i*m``, m the target size.
+    """
+    n, m = len(src.elements), len(tgt.elements)
+    low = (1 << m) - 1
+    for mask in range(1 << (n * m)):
+        yield Simulation(src, tgt, tuple(mask >> (i * m) & low for i in range(n)))

@@ -77,13 +77,11 @@ def fragment_from_json(obj, path: str = "$") -> LanguageFragment:
     for key in ("alphabet", "words"):
         if not isinstance(obj[key], list) or not all(isinstance(t, str) for t in obj[key]):
             raise InputError(f"{path}.{key}: expected a list of strings")
+    exact_up_to = obj.get("exact_up_to", True)
+    if not isinstance(exact_up_to, bool):
+        raise InputError(f"{path}.exact_up_to: expected true or false")
     try:
-        return mk_fragment(
-            obj["alphabet"],
-            max_len,
-            obj["words"],
-            bool(obj.get("exact_up_to", True)),
-        )
+        return mk_fragment(obj["alphabet"], max_len, obj["words"], exact_up_to)
     except (AlphabetMismatch, BoundMismatch, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -14,10 +14,10 @@ extension of the partial order of classes, from the top down, is bad.
 ``otp`` is this class count; ``kernels.bad_sequence_rank`` computes the
 rank by search and is kept as its certificate.
 
-A simulation between two quasi-orders is a relation given by its atom
-``pairs``; ``Simulation.rows`` holds the same relation as one bitmask row
-per source element, and the simulation law, composition and the
-linearizations all work on those rows.
+A simulation between two quasi-orders stores its relation as one bitmask
+row per source element, and the simulation law, composition and the
+linearizations all work on those rows; ``Simulation.pairs`` is an atom view,
+and ``mk_simulation`` builds a simulation from atom pairs.
 """
 
 from __future__ import annotations
@@ -280,33 +280,27 @@ def is_coatomic_lattice(system: SetSystem) -> bool:
 class Simulation:
     source: QuasiOrder
     target: QuasiOrder
-    pairs: frozenset[tuple[Atom, Atom]]
-
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if x not in self.source.index:
-                raise UnknownElement(x)
-            if y not in self.target.index:
-                raise UnknownElement(y)
+    rows: tuple[int, ...]  # rows[i] bit j set <=> source i is related to target j
 
     @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """``rows[i]`` bit j set <=> source element i is related to target element j."""
-        rows = [0] * len(self.source.elements)
-        src, tgt = self.source.index, self.target.index
-        for x, y in self.pairs:
-            rows[src[x]] |= 1 << tgt[y]
-        return tuple(rows)
+    def pairs(self) -> frozenset[tuple[Atom, Atom]]:
+        xs, ys = self.source.elements, self.target.elements
+        return frozenset((xs[i], ys[j]) for i, row in enumerate(self.rows) for j in _bits(row))
 
 
-def _simulation(source: QuasiOrder, target: QuasiOrder, rows: Iterable[int]) -> Simulation:
-    """The relation given by index rows, as a ``Simulation``."""
-    xs, ys = source.elements, target.elements
-    return Simulation(
-        source,
-        target,
-        frozenset((xs[i], ys[j]) for i, row in enumerate(rows) for j in _bits(row)),
-    )
+def mk_simulation(
+    source: QuasiOrder, target: QuasiOrder, pairs: Iterable[tuple[Atom, Atom]]
+) -> Simulation:
+    """The relation given by atom pairs; an atom outside its carrier raises ``UnknownElement``."""
+    rows = [0] * len(source.elements)
+    for x, y in pairs:
+        i, j = source.index.get(x), target.index.get(y)
+        if i is None:
+            raise UnknownElement(x)
+        if j is None:
+            raise UnknownElement(y)
+        rows[i] |= 1 << j
+    return Simulation(source, target, tuple(rows))
 
 
 def is_simulation(sim: Simulation) -> bool:
@@ -326,7 +320,7 @@ def is_simulation(sim: Simulation) -> bool:
 
 
 def identity_simulation(qo: QuasiOrder) -> Simulation:
-    return Simulation(qo, qo, frozenset((a, a) for a in qo.elements))
+    return Simulation(qo, qo, tuple(1 << i for i in range(len(qo.elements))))
 
 
 def compose_simulations(second: Simulation, first: Simulation) -> Simulation:
@@ -334,10 +328,10 @@ def compose_simulations(second: Simulation, first: Simulation) -> Simulation:
     if first.target.elements != second.source.elements:
         raise CarrierMismatch("simulations do not chain")
     rows = second.rows
-    return _simulation(
+    return Simulation(
         first.source,
         second.target,
-        [reduce(int.__or__, map(rows.__getitem__, _bits(row)), 0) for row in first.rows],
+        tuple(reduce(int.__or__, map(rows.__getitem__, _bits(row)), 0) for row in first.rows),
     )
 
 
@@ -371,7 +365,7 @@ def linearizations(
             for level, block in enumerate(blocks):
                 for i in _bits(block):
                     rows[i] = 1 << level
-            results.append((target, _simulation(qo, target, rows)))
+            results.append((target, Simulation(qo, target, tuple(rows))))
             return
         block = -remaining & remaining
         while block:

@@ -27,25 +27,14 @@ VERIFY_VERTEX_BOUND = 7
 UPPER_BOUND_BITS = 14_283
 
 
-def _validate(sizes: tuple[int, ...]) -> None:
+def _validate(sizes) -> tuple[int, ...]:
+    """The clique sizes as a tuple, refused unless nonempty and positive."""
+    sizes = tuple(sizes)
     if not sizes:
         raise InvalidQuery("at least one clique size is required")
     if any(l < 1 for l in sizes):
         raise InvalidQuery("clique sizes must be positive")
-
-
-@dataclass(frozen=True)
-class RamseyQuery:
-    clique_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        _validate(self.clique_sizes)
-
-
-def _query(sizes) -> RamseyQuery:
-    if isinstance(sizes, RamseyQuery):
-        return sizes
-    return RamseyQuery(tuple(sizes))
+    return sizes
 
 
 def _upper2(l: int, m: int) -> int:
@@ -65,7 +54,7 @@ def ram_upper(sizes) -> int:
     A bound that could exceed ``UPPER_BOUND_BITS`` bits is refused before it
     is computed.
     """
-    return _upper(_query(sizes).clique_sizes)
+    return _upper(_validate(sizes))
 
 
 def _upper(ls: tuple[int, ...]) -> int:
@@ -96,7 +85,7 @@ _EXACT_MULTI: dict[tuple[int, ...], tuple[int, str]] = {
 
 def ram_exact_entry(sizes) -> Optional[tuple[int, str]]:
     """Exact value plus its source tag, when the table covers the query."""
-    return _exact_entry(tuple(sorted(_query(sizes).clique_sizes)))
+    return _exact_entry(tuple(sorted(_validate(sizes))))
 
 
 def _exact_entry(ls: tuple[int, ...]) -> Optional[tuple[int, str]]:

@@ -31,7 +31,7 @@ from .errors import (
     NotLinear,
     UniverseTooLarge,
 )
-from .orders import QuasiOrder, Simulation, _simulation, is_simulation
+from .orders import QuasiOrder, Simulation, is_simulation
 from .systems import (
     BANG_SUPPORT_BOUND,
     SetSystem,
@@ -294,8 +294,9 @@ def qo_functor(trace: Trace, source_qo: QuasiOrder, target_qo: QuasiOrder) -> Si
         raise FieldMismatch("source field does not match the source carrier")
     if trace.target_field != target_qo.elements:
         raise FieldMismatch("target field does not match the target carrier")
-    rows = [reduce(int.__or__, opts, 0) for opts in trace.options]
-    return _simulation(source_qo, target_qo, rows)
+    return Simulation(
+        source_qo, target_qo, tuple(reduce(int.__or__, opts, 0) for opts in trace.options)
+    )
 
 
 def coproduct(*systems: SetSystem) -> tuple[SetSystem, list[Trace]]:

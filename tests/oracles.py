@@ -20,6 +20,7 @@ from ordkit import (
     intersect_qo,
     leaf,
     mk_qo,
+    mk_simulation,
     mk_system,
     otp,
     ramsey,
@@ -447,7 +448,7 @@ def compose_simulations_reference(second: Simulation, first: Simulation) -> Simu
     rel = frozenset(
         (x, z) for x, y in first.pairs for y2, z in second.pairs if y == y2
     )
-    return Simulation(first.source, second.target, rel)
+    return mk_simulation(first.source, second.target, rel)
 
 
 def linearizations_reference(qo: QuasiOrder) -> list[tuple[QuasiOrder, Simulation]]:
@@ -468,7 +469,7 @@ def linearizations_reference(qo: QuasiOrder) -> list[tuple[QuasiOrder, Simulatio
                 for level, block in enumerate(blocks)
                 for i in block
             )
-            results.append((target, Simulation(qo, target, graph)))
+            results.append((target, mk_simulation(qo, target, graph)))
             return
         for bits in range(1, 1 << len(remaining)):
             block = [i for k, i in enumerate(remaining) if bits >> k & 1]
@@ -510,7 +511,7 @@ def random_simulation_reference(rng, src: QuasiOrder, tgt: QuasiOrder) -> Simula
                 ):
                     pairs.add((x2, y))
                     changed = True
-    return Simulation(src, tgt, frozenset(pairs))
+    return mk_simulation(src, tgt, frozenset(pairs))
 
 
 class TraceReference(NamedTuple):
@@ -644,7 +645,7 @@ def qo_functor_reference(
     if trace.target_field != target_qo.elements:
         raise FieldMismatch("target field does not match the target carrier")
     rel = frozenset((x, next(iter(v))) for x, v in trace.pairs if v)
-    return Simulation(source_qo, target_qo, rel)
+    return mk_simulation(source_qo, target_qo, rel)
 
 
 def sequential_traces_reference(source, target, include_empty_options: bool = True):

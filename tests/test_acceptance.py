@@ -63,7 +63,7 @@ from ordkit.lang import (
     mk_fragment,
     validate_chain,
 )
-from ordkit.orders import Simulation
+from ordkit.orders import mk_simulation
 
 from .oracles import naive_dim, nats, system
 
@@ -327,7 +327,7 @@ def test_c11_functor_laws_and_triangles():
     # the identity simulation maps to the identity trace and back
     u = nats(3)
     q = mk_qo(u, [(u[0], u[1])])
-    ident = Simulation(q, q, frozenset((a, a) for a in u))
+    ident = mk_simulation(q, q, frozenset((a, a) for a in u))
     assert ss_functor(ident) == identity_trace(u)
     assert qo_functor(identity_trace(u), q, q).pairs == ident.pairs
     print("ACCEPTANCE 11 functor laws and triangles: PASS")

@@ -159,6 +159,21 @@ def test_lang_max_len_on_shuffle_or_half_exits_2(runner, tmp_path):
         assert runner.invoke(main, ["lang", kind, *map(str, files)]).exit_code == 0
 
 
+def test_lang_exact_up_to_must_be_a_json_boolean(runner, tmp_path):
+    # bool("false") is True, so only a JSON boolean may set the flag
+    frag = tmp_path / "frag.json"
+    base = {"alphabet": ["a"], "max_len": 1, "words": ["a"]}
+    for bad in ("false", "true", 0, 1, None, []):
+        frag.write_text(json.dumps(dict(base, exact_up_to=bad)))
+        result = runner.invoke(main, ["--json", "lang", "shuffle", str(frag), str(frag)])
+        _bad_input_exit(result, f"{frag}.exact_up_to: expected true or false")
+    for flag in (False, True):
+        frag.write_text(json.dumps(dict(base, exact_up_to=flag)))
+        result = runner.invoke(main, ["--json", "lang", "shuffle", str(frag), str(frag)])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["exact_up_to"] is flag
+
+
 def test_lang_closure_over_budget_exits_2(runner, tmp_path):
     frag = tmp_path / "frag.json"
     frag.write_text(json.dumps({"alphabet": ["a"], "max_len": 1000000, "words": ["a"]}))

@@ -24,6 +24,7 @@ from .oracles import (
     random_simulation_reference,
     simulation_seed_pairs_reference,
 )
+from .simulation_stream import stream_digest
 
 
 def test_preorder_counts_match_known_sequences():
@@ -110,15 +111,41 @@ def test_random_simulation_repairs_the_reference_seed_pairs():
     assert rng.getstate() == state
 
 
-def test_random_simulation_stream_ignores_the_hash_seed():
-    script = Path(__file__).with_name("simulation_stream.py")
+def _outputs_under_hash_seeds(*args):
+    """The distinct stdouts of ``python *args`` under hash seeds 0 and 1."""
     src = str(Path(ordkit.__file__).parents[1])
-    digests = set()
+    outputs = set()
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
         out = subprocess.run(
-            [sys.executable, str(script), "2000"], env=env, capture_output=True, text=True,
-            check=True,
+            [sys.executable, *args], env=env, capture_output=True, text=True, check=True
         )
-        digests.add(out.stdout)
+        outputs.add(out.stdout)
+    return outputs
+
+
+def test_random_simulation_stream_ignores_the_hash_seed():
+    script = Path(__file__).with_name("simulation_stream.py")
+    digests = _outputs_under_hash_seeds(str(script), "2000")
     assert len(digests) == 1, digests
+
+
+def test_random_simulation_stream_digest_is_pinned():
+    # recorded at 81662be, before simulations stored rows
+    assert stream_digest(2000) == (
+        "35cd3b8c4d96f9cc2710df3a9225e9a1f770683a30064a6bb9a0b5e441a13c6e"
+    )
+
+
+def test_random_simulation_repr_ignores_the_hash_seed():
+    # the first 20 draws of the stream
+    code = (
+        "import random\n"
+        "from ordkit.generators import random_quasi_order, random_simulation\n"
+        "rng = random.Random(11)\n"
+        "for _ in range(20):\n"
+        "    x, y = random_quasi_order(rng, 5), random_quasi_order(rng, 5)\n"
+        "    print(repr(random_simulation(rng, x, y)))\n"
+    )
+    reprs = _outputs_under_hash_seeds("-c", code)
+    assert len(reprs) == 1, reprs

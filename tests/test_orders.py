@@ -16,6 +16,7 @@ from ordkit import (
     leaf,
     linearizations,
     mk_qo,
+    mk_simulation,
     mk_system,
     otp,
     qo_of,
@@ -310,9 +311,9 @@ def test_coatomic_matches_the_pairwise_reference():
 def test_is_simulation_examples():
     c2 = chain(2)
     assert is_simulation(identity_simulation(c2))
-    assert is_simulation(Simulation(c2, c2, frozenset()))
+    assert is_simulation(mk_simulation(c2, c2, frozenset()))
     u = nats(2)
-    partial = Simulation(c2, c2, frozenset({(u[0], u[1])}))
+    partial = mk_simulation(c2, c2, frozenset({(u[0], u[1])}))
     assert not is_simulation(partial)
 
 
@@ -340,8 +341,39 @@ def test_simulation_rows_hold_the_pairs():
     c2 = chain(2)
     u = nats(2)
     assert identity_simulation(c2).rows == (0b01, 0b10)
-    assert Simulation(c2, antichain(1), frozenset({(u[1], u[0])})).rows == (0, 1)
-    assert Simulation(c2, c2, frozenset()).rows == (0, 0)
+    assert mk_simulation(c2, antichain(1), frozenset({(u[1], u[0])})).rows == (0, 1)
+    assert mk_simulation(c2, c2, frozenset()).rows == (0, 0)
+
+
+def test_mk_simulation_refuses_an_atom_outside_either_carrier():
+    c2, c1 = chain(2), chain(1)
+    u, stray = nats(2), leaf("9")
+    with pytest.raises(UnknownElement) as bad_source:
+        mk_simulation(c2, c1, [(u[0], u[0]), (stray, u[0])])
+    assert bad_source.value.atom == stray
+    with pytest.raises(UnknownElement) as bad_target:
+        mk_simulation(c2, c1, [(u[0], u[0]), (u[1], u[1])])
+    assert bad_target.value.atom == u[1]
+
+
+def test_simulation_pairs_are_a_view_of_the_rows():
+    c2 = chain(2)
+    u = nats(2)
+    sim = Simulation(c2, c2, (0b11, 0b10))
+    assert sim.pairs == {(u[0], u[0]), (u[0], u[1]), (u[1], u[1])}
+    assert mk_simulation(c2, c2, sim.pairs) == sim
+
+
+def test_all_relations_follow_the_cell_order():
+    # relation number `mask` holds cell k of the row-major cell list iff bit k is set
+    for n, m in itertools.product(range(3), repeat=2):
+        x, y = chain(n), antichain(m)
+        cells = [(a, b) for a in x.elements for b in y.elements]
+        want = [
+            frozenset(c for k, c in enumerate(cells) if mask >> k & 1)
+            for mask in range(1 << len(cells))
+        ]
+        assert [r.pairs for r in all_relations(x, y)] == want
 
 
 def test_is_simulation_matches_the_pairwise_reference():
@@ -368,9 +400,9 @@ def test_compose_simulations_matches_the_reference():
         s = random_simulation(rng, y, z)
         assert compose_simulations(s, r) == compose_simulations_reference(s, r)
         # and on relations that need not be simulations
-        r = Simulation(x, y, frozenset(p for p in itertools.product(x.elements, y.elements)
+        r = mk_simulation(x, y, frozenset(p for p in itertools.product(x.elements, y.elements)
                                        if rng.random() < 0.3))
-        s = Simulation(y, z, frozenset(p for p in itertools.product(y.elements, z.elements)
+        s = mk_simulation(y, z, frozenset(p for p in itertools.product(y.elements, z.elements)
                                        if rng.random() < 0.3))
         assert compose_simulations(s, r) == compose_simulations_reference(s, r)
     with pytest.raises(CarrierMismatch):

@@ -298,9 +298,9 @@ def test_ss_functor_and_qo_functor():
     back = qo_functor(t, c, c)
     assert back.pairs == ident.pairs
     with pytest.raises(NotASimulation):
-        from ordkit import Simulation
+        from ordkit import mk_simulation
 
-        ss_functor(Simulation(c, c, frozenset({(u[0], u[2]), (u[2], u[0])})))
+        ss_functor(mk_simulation(c, c, frozenset({(u[0], u[2]), (u[2], u[0])})))
     wide = mk_trace(u, u, [(u[0], (u[0], u[1]))])
     with pytest.raises(NotLinear):
         qo_functor(wide, c, c)
