@@ -10,7 +10,10 @@ cap))`` on a body ``(report, rng, trials, bound)``.  The harness builds
 the report, resolves ``max_size`` against the default and the cap
 (``None`` for no cap) into ``bound``, seeds one ``random.Random(seed)``,
 times the body into ``report.ms`` and files the runner in ``SUITES`` under
-``name``; the body only walks its instances and calls ``report.fail``.
+``name``; the body only walks its instances and calls ``report.fail``.  An
+``OrdkitError`` that escapes the body is recorded as one failure of that
+suite, labelled "the suite raised an error", so ``check all`` still runs
+the other suites and exits 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 
 from . import kernels
 from .atoms import finset, leaf
-from .errors import InvalidQuery
+from .errors import InvalidQuery, OrdkitError
 from .generators import (
     all_quasi_orders,
     all_relations,
@@ -68,6 +71,7 @@ from .ramsey import (
 from .sdr import find_sdr
 from .systems import (
     SetSystem,
+    _bits,
     bang,
     ew_disjoint,
     ew_intersect,
@@ -78,7 +82,7 @@ from .systems import (
     tagged_union,
 )
 from .traces import (
-    apply,
+    _fire,
     bang_trace,
     canonicalize,
     compose,
@@ -136,7 +140,11 @@ def _suite(name: str, properties: tuple[str, ...], size=(None, None)):
             report = CheckReport(name, properties, seed, trials)
             t0 = time.perf_counter()
             bound = default if max_size is None else max_size if cap is None else min(max_size, cap)
-            body(report, random.Random(seed), trials, bound)
+            try:
+                body(report, random.Random(seed), trials, bound)
+            except OrdkitError as exc:
+                report.fail("the suite raised an error", {},
+                            error=type(exc).__name__, message=str(exc))
             report.ms = (time.perf_counter() - t0) * 1000
             return report
 
@@ -372,17 +380,15 @@ def run_trace_laws(report, rng, trials, bound):
         outer = random_trace(rng, fa, fb)
         inner = random_trace(rng, fb, fc)
         comp = compose(outer, inner)
-        for g_mask in range(1 << nc):
-            g = frozenset(a for i, a in enumerate(fc) if g_mask >> i & 1)
-            if apply(comp, g) != apply(outer, apply(inner, g)):
+        for g in range(1 << nc):
+            if _fire(comp, g) != _fire(outer, _fire(inner, g)):
                 report.fail(0, {"outer": outer.to_json(), "inner": inner.to_json()},
-                            g=sorted(map(repr, g)))
+                            g=sorted(repr(fc[i]) for i in _bits(g)))
                 break
         canon = canonicalize(outer)
-        for g_mask in range(1 << nb):
-            g = frozenset(a for i, a in enumerate(fb) if g_mask >> i & 1)
-            if apply(canon, g) != apply(outer, g):
-                report.fail(1, outer.to_json(), g=sorted(map(repr, g)))
+        for g in range(1 << nb):
+            if _fire(canon, g) != _fire(outer, g):
+                report.fail(1, outer.to_json(), g=sorted(repr(fb[i]) for i in _bits(g)))
                 break
     # exhaustive behavior/canonical correspondence over a 2-element field
     fld = nat_atoms(2)
@@ -393,11 +399,11 @@ def run_trace_laws(report, rng, trials, bound):
             pairs = [(x, option_sets[i]) for x, opts in zip(fld, (opts0, opts1))
                      for i in range(4) if opts >> i & 1]
             tr = mk_trace(fld, fld, pairs)
-            vec = tuple(tuple(sorted(map(repr, apply(tr, g)))) for g in option_sets)
-            groups.setdefault(vec, set()).add(canonicalize(tr))
+            groups.setdefault(tuple(_fire(tr, g) for g in range(4)), set()).add(canonicalize(tr))
     for vec, canons in groups.items():
         if len(canons) != 1:
-            report.fail(1, {"behavior": vec}, canonical_forms=len(canons))
+            behavior = [sorted(repr(fld[i]) for i in _bits(m)) for m in vec]
+            report.fail(1, {"behavior": behavior}, canonical_forms=len(canons))
     # linear uniqueness: distinct singleton-lift relations differ on a singleton
     for _ in range(max(1, trials // 5)):
         n = rng.randint(1, 3)
@@ -406,7 +412,7 @@ def run_trace_laws(report, rng, trials, bound):
         rel_b = frozenset((x, y) for x in fa for y in fb if rng.random() < 0.4)
         ta = mk_trace(fa, fb, [(x, (y,)) for x, y in rel_a])
         tb = mk_trace(fa, fb, [(x, (y,)) for x, y in rel_b])
-        if rel_a != rel_b and all(apply(ta, (y,)) == apply(tb, (y,)) for y in fb):
+        if rel_a != rel_b and all(_fire(ta, 1 << j) == _fire(tb, 1 << j) for j in range(n)):
             report.fail(2, {"R": ta.to_json(), "S": tb.to_json()})
     union_ok, intersection_ok = _eq14_trace_identities(*_eq14_pair())
     if not union_ok:

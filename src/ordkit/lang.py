@@ -6,6 +6,15 @@ language up to the bound".  Closure operators treat the fragment's words
 as the language being closed and compute the closure exactly up to the
 requested bound.  Lazy families provide decidable membership for the
 classic infinite examples, driving the elasticity-chain search.
+
+``shuffle_product``, ``concat`` and ``closure_bounded`` combine word pairs
+in one loop, ``_pairwise``.  Shuffles go through ``_shuffle`` and a memo of
+suffix pairs that lives for one operation: one ``shuffle_words`` or
+``shuffle_product`` call, or all rounds of one ``closure_bounded`` call.
+No memo outlives its call.  It holds only suffix pairs of the words that
+operation combines, and ``_refuse_word_space`` keeps those words inside
+``LANG_WORD_BOUND``: ``shuffle_product`` and ``closure_bounded`` refuse a
+word space over it before building anything.
 """
 
 from __future__ import annotations
@@ -29,8 +38,9 @@ from .systems import SetSystem, mk_system
 
 Word = str
 
-# closure_bounded refuses a candidate space sum_{k<=max_len} s**k (s distinct
-# letters) above this; {a, b} up to length 12 (8,191 words) still fits
+# closure_bounded and shuffle_product refuse a candidate space sum_{k<=n} s**k
+# (s distinct letters, n the longest word they could build) above this;
+# {a, b} up to length 12 (8,191 words) still fits
 LANG_WORD_BOUND = 1 << 13
 
 
@@ -86,29 +96,82 @@ def fragment_from_json(obj, path: str = "$") -> LanguageFragment:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _shuffle(u: Word, v: Word, memo: dict[tuple[Word, Word], frozenset[Word]]) -> frozenset[Word]:
+    """All interleavings of ``u`` and ``v``; ``memo`` keeps the set of every suffix pair.
+
+    The set of ``(a, b)`` puts ``a[0]`` before those of ``(a[1:], b)`` and
+    ``b[0]`` before those of ``(a, b[1:])``.  A stack stands in for that
+    recursion, so words of any length fit, and only pairs missing from
+    ``memo`` are pushed.
+    """
+    stack = [(u, v)]
+    while stack:
+        pair = a, b = stack[-1]
+        if pair in memo:
+            stack.pop()
+        elif not a or not b:
+            memo[pair] = frozenset((a + b,))
+        elif (left := (a[1:], b)) not in memo:
+            stack.append(left)
+        elif (right := (a, b[1:])) not in memo:
+            stack.append(right)
+        else:
+            memo[pair] = frozenset(a[0] + w for w in memo[left]) | frozenset(
+                b[0] + w for w in memo[right]
+            )
+    return memo[u, v]
+
+
 def shuffle_words(u: Word, v: Word, alphabet: Optional[Iterable[str]] = None) -> frozenset[Word]:
-    """All order-preserving interleavings of two words."""
+    """All order-preserving interleavings of two words.
+
+    The memo lives for this call only and holds one entry per suffix pair,
+    at most ``(len(u) + 1) * (len(v) + 1)``.
+    """
     if alphabet is not None:
         al = set(alphabet)
         for w in (u, v):
             if not set(w) <= al:
                 raise AlphabetMismatch(f"word {w!r} uses symbols outside the alphabet")
-    memo: dict[tuple[str, str], frozenset[str]] = {}
+    return _shuffle(u, v, {})
 
-    def sh(a: str, b: str) -> frozenset[str]:
-        if not a:
-            return frozenset((b,))
-        if not b:
-            return frozenset((a,))
-        got = memo.get((a, b))
-        if got is None:
-            got = frozenset(a[0] + w for w in sh(a[1:], b)) | frozenset(
-                b[0] + w for w in sh(a, b[1:])
-            )
-            memo[(a, b)] = got
-        return got
 
-    return sh(u, v)
+def _refuse_word_space(words: Iterable[Word], max_len: int) -> None:
+    """Refuse when the words up to ``max_len`` over the letters of ``words`` exceed the budget.
+
+    The count sum_{k<=max_len} s**k (s distinct letters) stops as soon as
+    it passes ``LANG_WORD_BOUND``, so a huge ``max_len`` costs nothing.
+    """
+    letters = len(set().union(*words))
+    count, term = 0, 1
+    for _ in range(max_len + 1):
+        count += term
+        if count > LANG_WORD_BOUND:
+            raise UniverseTooLarge(f"at least {count}", LANG_WORD_BOUND, "word space", "words")
+        term *= letters
+        if not term:
+            break
+
+
+def _pairwise(
+    lhs: Iterable[Word], rhs: Iterable[Word], bound: int, memo: Optional[dict] = None
+) -> set[Word]:
+    """Each word of ``lhs`` with each of ``rhs`` whose lengths sum to at most ``bound``.
+
+    A pair is concatenated, or shuffled through ``memo`` when one is given.
+    """
+    rhs = sorted(rhs, key=len)
+    out: set[Word] = set()
+    for u in lhs:
+        room = bound - len(u)
+        for v in rhs:
+            if len(v) > room:
+                break
+            if memo is None:
+                out.add(u + v)
+            else:
+                out |= _shuffle(u, v, memo)
+    return out
 
 
 def _merge(lhs: LanguageFragment, rhs: LanguageFragment) -> tuple[frozenset[str], int, bool]:
@@ -122,20 +185,26 @@ def _merge(lhs: LanguageFragment, rhs: LanguageFragment) -> tuple[frozenset[str]
 
 
 def shuffle_product(lhs: LanguageFragment, rhs: LanguageFragment) -> LanguageFragment:
+    """The shuffles of each pair of words that fits the smaller bound.
+
+    Refused with ``UniverseTooLarge`` before anything is built when the
+    words over the letters of the pairing words, up to the longest pair
+    that fits, number more than ``LANG_WORD_BOUND``.  One memo serves every
+    pair of this call and is dropped with it.
+    """
     alphabet, bound, exact = _merge(lhs, rhs)
-    out: set[str] = set()
-    for u in lhs.words:
-        for v in rhs.words:
-            if len(u) + len(v) <= bound:
-                out |= shuffle_words(u, v)
+    lengths = [{len(w) for w in f.words} for f in (lhs, rhs)]
+    fits = [(m, n) for m in lengths[0] for n in lengths[1] if m + n <= bound]
+    used = [{p[k] for p in fits} for k in (0, 1)]
+    pairing = [w for f, ok in zip((lhs, rhs), used) for w in f.words if len(w) in ok]
+    _refuse_word_space(pairing, max(map(sum, fits), default=-1))
+    out = _pairwise(lhs.words, rhs.words, bound, {})
     return LanguageFragment(alphabet, bound, frozenset(out), exact)
 
 
 def concat(lhs: LanguageFragment, rhs: LanguageFragment) -> LanguageFragment:
     alphabet, bound, exact = _merge(lhs, rhs)
-    out = {
-        u + v for u in lhs.words for v in rhs.words if len(u) + len(v) <= bound
-    }
+    out = _pairwise(lhs.words, rhs.words, bound)
     return LanguageFragment(alphabet, bound, frozenset(out), exact)
 
 
@@ -161,39 +230,22 @@ def closure_bounded(
     so the result is exact up to the bound by construction.  It is refused
     with ``UniverseTooLarge`` before anything is built when the words up to
     ``max_len`` over the letters of the base words number more than
-    ``LANG_WORD_BOUND``.
+    ``LANG_WORD_BOUND``.  The shuffle kinds share one memo across all
+    rounds of this call; it holds suffix pairs of the words combined, all
+    inside that word space, and is dropped with the call.
     """
     if kind not in _CLOSURE_KINDS:
         raise InvalidQuery(f"unknown closure kind {kind!r}")
     if max_len < 0:
         raise InvalidQuery(f"max_len must be at least 0, got {max_len}")
     base = {w for w in fragment.words if len(w) <= max_len}
-    letters = len(set().union(*base))
-    count, term = 0, 1
-    for _ in range(max_len + 1):
-        count += term
-        if count > LANG_WORD_BOUND:
-            raise UniverseTooLarge(f"at least {count}", LANG_WORD_BOUND, "word space", "words")
-        term *= letters
-        if not term:
-            break
-    shuffle = kind in ("shuffle_diamond", "shuffle_closure")
+    _refuse_word_space(base, max_len)
+    memo = {} if kind in ("shuffle_diamond", "shuffle_closure") else None
     closed = set(base)
     frontier = set(base)
     while frontier:
-        fresh: set[str] = set()
-        for w in frontier:
-            for l in base:
-                if len(w) + len(l) > max_len:
-                    continue
-                if shuffle:
-                    fresh |= shuffle_words(w, l) - closed
-                else:
-                    cat = w + l
-                    if cat not in closed:
-                        fresh.add(cat)
-        closed |= fresh
-        frontier = fresh
+        frontier = _pairwise(frontier, base, max_len, memo) - closed
+        closed |= frontier
     if kind in ("star", "shuffle_closure"):
         closed.add("")
     return LanguageFragment(fragment.alphabet, max_len, frozenset(closed), True)

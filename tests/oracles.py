@@ -247,6 +247,26 @@ def shuffle_by_positions(u: str, v: str) -> frozenset[str]:
     return frozenset(out)
 
 
+def combine_reference(lhs, rhs, bound: int, shuffle: bool) -> frozenset[str]:
+    """Every shuffle (or concatenation) of a word of lhs with one of rhs, cut at bound."""
+    return frozenset(
+        w for u in lhs for v in rhs if len(u) + len(v) <= bound
+        for w in (shuffle_by_positions(u, v) if shuffle else (u + v,))
+    )
+
+
+def closure_reference(words, kind: str, max_len: int) -> frozenset[str]:
+    """The closure as a plain fixed point: combine any two closed words until nothing is new."""
+    shuffle = kind in ("shuffle_diamond", "shuffle_closure")
+    closed = frozenset(w for w in words if len(w) <= max_len)
+    while True:
+        grown = closed | combine_reference(closed, closed, max_len, shuffle)
+        if grown == closed:
+            break
+        closed = grown
+    return closed | {""} if kind in ("star", "shuffle_closure") else closed
+
+
 def has_mono_clique(n: int, colored_edges: dict, color: str, size: int) -> bool:
     """Brute scan for a monochromatic clique in an edge-colored K_n."""
     for combo in itertools.combinations(range(n), size):

@@ -181,6 +181,67 @@ def test_lang_closure_over_budget_exits_2(runner, tmp_path):
     _bad_input_exit(result, "word space has at least 8193 words, limit is 8192")
 
 
+def _lang_doc(tmp_path, name, alphabet, max_len, words):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"alphabet": alphabet, "max_len": max_len, "words": words}))
+    return str(path)
+
+
+def test_lang_shuffle_over_budget_exits_2_before_building(tmp_path):
+    # two 30-letter words over {a, b} fit max_len 60: 2**61 - 1 candidate words.
+    # A fresh process with a timeout, since building the product would not end
+    lhs = _lang_doc(tmp_path, "lhs", ["a", "b"], 60, ["ab" * 15])
+    rhs = _lang_doc(tmp_path, "rhs", ["a", "b"], 60, ["ba" * 15])
+    src = str(Path(ordkit.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ordkit.cli", "lang", "shuffle", lhs, rhs],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: word space has at least 16383 words, limit is 8192\n"
+
+
+def test_lang_shuffle_of_a_long_word_is_depth_safe(runner, tmp_path):
+    lhs = _lang_doc(tmp_path, "lhs", ["a"], 2000, ["a" * 1500])
+    rhs = _lang_doc(tmp_path, "rhs", ["a"], 2000, ["a"])
+    result = runner.invoke(main, ["--json", "lang", "shuffle", lhs, rhs])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["words"] == ["a" * 1501]
+
+
+def test_lang_closure_of_one_letter_at_max_len_2000(runner, tmp_path):
+    frag = _lang_doc(tmp_path, "frag", ["a"], 1, ["a"])
+    result = runner.invoke(main, ["--json", "lang", "closure", frag, "--max-len", "2000"])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["words"] == sorted("a" * k for k in range(2001))
+
+
+def test_a_suite_that_raises_is_a_failure_and_the_others_still_run(runner, monkeypatch):
+    from ordkit import checks as checks_mod
+    from ordkit.errors import NotASimulation
+
+    def broken(second, first):
+        raise NotASimulation("the relation does not satisfy the simulation law")
+
+    monkeypatch.setattr(checks_mod, "compose_simulations", broken)
+    result = runner.invoke(
+        main, ["--json", "check", "all", "--trials", "2", "--max-size", "2"]
+    )
+    assert result.exit_code == 1
+    reports = json.loads(result.stdout)
+    assert [r["suite"] for r in reports] == list(checks_mod.SUITES)
+    assert len(reports) == 11
+    failed = {r["suite"]: r["failures"] for r in reports if r["failures"]}
+    assert failed == {"functor-laws": [{
+        "property": "the suite raised an error",
+        "instance": {},
+        "values": {"error": "NotASimulation",
+                   "message": "the relation does not satisfy the simulation law"},
+    }]}
+    assert reports[list(checks_mod.SUITES).index("functor-laws")]["ms"] > 0
+
+
 def test_otp_of_a_wide_antichain(runner, tmp_path):
     qo_path = tmp_path / "antichain.json"
     qo_path.write_text(json.dumps({"elements": [str(i) for i in range(40)], "le": []}))
@@ -369,7 +430,7 @@ def test_trace_laws_checks_linear_uniqueness_below_five_trials(monkeypatch, tria
     from ordkit import checks as checks_mod
 
     # every trace now behaves alike, so two distinct relations violate property 2
-    monkeypatch.setattr(checks_mod, "apply", lambda trace, g: frozenset())
+    monkeypatch.setattr(checks_mod, "_fire", lambda trace, g: 0)
     report = checks_mod.run_trace_laws(trials=trials)
     failed = {f["property"] for f in report.failures}
     assert report.properties[2] in failed

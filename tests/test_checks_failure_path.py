@@ -35,7 +35,7 @@ def _perturbations():
         "otp": lambda qo: c.otp(qo) + (len(qo.elements) in (2, 5)),
         "dim": lambda s: c.dim(s) + (len(s.members) == 3),
         "qo_of": lambda s: mk_qo(s.universe) if len(s.support) == 2 else c.qo_of(s),
-        "apply": lambda t, g: frozenset() if len(t.pairs) % 3 == 1 else c.apply(t, g),
+        "_fire": lambda t, g: 0 if len(t.pairs) % 3 == 1 else c._fire(t, g),
         "canonicalize": lambda t: c.canonicalize(t) if len(t.pairs) % 4 else t,
         "direct_image": lambda t, s: mk_system(s.universe, s.members[1:]),
         "closure_bounded": lambda f, kind, bound: c.closure_bounded(

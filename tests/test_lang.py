@@ -32,7 +32,12 @@ from ordkit.errors import (
 )
 from ordkit.lang import LANG_WORD_BOUND, ElasticityChain, all_words, fragment_from_json
 
-from .oracles import elasticity_chain_reference, shuffle_by_positions
+from .oracles import (
+    closure_reference,
+    combine_reference,
+    elasticity_chain_reference,
+    shuffle_by_positions,
+)
 
 
 def test_shuffle_words_base_cases():
@@ -68,6 +73,9 @@ def test_shuffle_product_and_concat():
     b = mk_fragment("ab", 2, ["b"])
     assert shuffle_product(a, b).words == frozenset({"ab", "ba"})
     assert concat(a, b).words == frozenset({"ab"})
+    # the budget counts up to the longest pair that fits, not up to max_len
+    far = [mk_fragment("ab", 20, [w]) for w in ("a", "b")]
+    assert shuffle_product(*far).words == frozenset({"ab", "ba"})
     assert power(mk_fragment("a", 3, ["a"]), 3).words == frozenset({"aaa"})
     with pytest.raises(AlphabetMismatch):
         shuffle_product(a, mk_fragment("xy", 2, ["x"]))
@@ -146,6 +154,35 @@ def test_epsilon_identities():
             lhs = closure_bounded(minus, diamond, 4).words
             assert lhs == closure_bounded(frag, diamond, 4).words - {""}
             assert lhs | {""} == closure_bounded(frag, closed, 4).words
+
+
+def test_closures_match_the_fixed_point_reference():
+    short_words = ["", "a", "b", "aa", "ab", "ba", "bb"]
+    for mask in range(1 << len(short_words)):
+        words = {w for i, w in enumerate(short_words) if mask >> i & 1}
+        frag = mk_fragment("ab", 2, words)
+        for kind in ("star", "plus", "shuffle_diamond", "shuffle_closure"):
+            got = closure_bounded(frag, kind, 4)
+            assert got.words == closure_reference(words, kind, 4), (sorted(words), kind)
+            assert got.max_len == 4 and got.exact_up_to
+
+
+def test_shuffle_product_and_concat_match_the_reference():
+    rng = random.Random(13)
+    pool = all_words("ab", 3)
+    frags = [
+        mk_fragment("ab", rng.choice((3, 4)), {w for w in pool if rng.random() < 0.3},
+                    exact_up_to=rng.random() < 0.8)
+        for _ in range(16)
+    ]
+    for lhs in frags:
+        for rhs in frags:
+            bound = min(lhs.max_len, rhs.max_len)
+            for op, shuffle in ((shuffle_product, True), (concat, False)):
+                got = op(lhs, rhs)
+                assert got.words == combine_reference(lhs.words, rhs.words, bound, shuffle)
+                assert got.max_len == bound
+                assert got.exact_up_to == (lhs.exact_up_to and rhs.exact_up_to)
 
 
 def test_half_examples():
