@@ -3,13 +3,13 @@
 The kernels below dominate the runtime of the exhaustive suites; callers
 reach them through ``ordkit.kernels``:
 
-* ``production_rank`` / ``production_state_rank`` -- rank of the
-  example/hypothesis game tree of a set system, and of its continuation
-  from a mid-game state.  Members and example sets are bitmasks over the
-  support.  Both are answered by one search memoised on the version space
-  (Mitchell, "Generalization as Search", AIJ 1982): the set ``C`` of
-  members that still cover every example presented so far, itself a
-  bitmask over member indices.
+* ``production_rank`` / ``production_state_rank`` / ``production_witness``
+  -- rank of the example/hypothesis game tree of a set system, rank of its
+  continuation from a mid-game state, and a longest play.  Members and
+  example sets are bitmasks over the support.  All three are answered by
+  one search memoised on the version space (Mitchell, "Generalization as
+  Search", AIJ 1982): the set ``C`` of members that still cover every
+  example presented so far, itself a bitmask over member indices.
 * ``bad_sequence_rank`` -- rank of the tree of bad sequences of a finite
   quasi-order, memoized on the forbidden upward closure.  It explores up
   to 2**n states and certifies ``orders.otp``, the equivalence-class
@@ -51,8 +51,40 @@ antichain up-sets, where ``|C|`` is exponential in the support but
 ``len(nexts)`` is linear in it.
 
 One solver, and so one memo, is shared per (deduplicated members, support)
-in a small LRU cache, so a witness extraction reuses the memo that the
-rank just filled.  Memo values are pure functions of that key.
+in a small LRU cache, and each kernel call looks it up once, so a witness
+walks the memo that the rank just filled.  Memo values are pure functions
+of that key, and so are its states: ``rank`` visits the successors of a
+cover in an order fixed by the cover and ``columns`` and stops on exact
+values, so a call adds the same states whatever the memo already holds.
+
+The solver's columns.  ``contains[t]``, for every element, is one column
+of the member-by-element bit matrix, and the solver builds the columns by
+byte planes.  The members, last first, are laid out as one byte row each:
+``bytes`` of the masks when the support fits in a byte, else one
+``to_bytes`` join.  Byte plane ``j`` holds byte ``j`` of every member, and
+translating it by bit ``i`` to the digits 0 and 1 spells column
+``8j + i`` in binary, most significant member first, so one ``int(..., 2)``
+reads it.  That is one C pass per element instead of a Python step per
+member bit.  ``columns``, the distinct columns of the support, enter their
+set in the order the elements first occur in a member (members in order,
+bits ascending): the set's order steers which successors ``rank`` visits
+before its ceiling, so it fixes the memo's states.
+
+The witness walk.  ``production_witness`` extends the empty play one step
+at a time and keeps the remaining rank.  With ``r + 1`` steps left at a
+state whose version space is ``C``, it takes the first member ``h``, in
+the given order, that holds every example so far, and the first of its
+elements ``t`` outside the last hypothesis, ascending, whose state
+``(C & contains[t], h)`` has rank exactly ``r``; then ``C & contains[t]``
+is the cover carried forward.  That state's rank is ``max
+V(C & contains[t] & contains[u])`` over the ``u`` outside ``h``, and the
+scan stops as soon as one move reaches ``r``.  The stop is exact: the
+candidate is a successor of a state of rank ``r + 1``, and a successor of
+a state of rank ``r + 1`` never has a rank above ``r``, since a state's
+rank is one more than the largest rank among its successors.  So a move
+that reaches ``r`` settles the maximum.  ``production_state_rank`` is the
+same scan for one state, with no stop, and ``production_rank`` the scan of
+the opening state, where every member is a cover and every element free.
 
 The Ramsey degree window.  Let ``U(a, b)`` be the Greenwood–Gleason bound:
 ``U = 1`` when ``min(a, b) = 1``, ``U = max(a, b)`` when ``min(a, b) = 2``,
@@ -71,24 +103,44 @@ for (3, 4), K_14 for (3, 5) and K_18 for (4, 4).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
+
+
+# _BIT_PLANES[i] maps a byte to b"1" where its bit i is set and to b"0" elsewhere
+_BIT_PLANES = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
+
+
+def _contains(members: Sequence[int]) -> dict[int, int]:
+    """``contains[t]``: the indices of the members holding the bit ``t``, as a
+    bitmask, for every held bit, ascending; read off byte planes (see "The
+    solver's columns" above)."""
+    width = max(members).bit_length() if members else 0
+    step = (width + 7) >> 3
+    if step == 1:
+        planes = [bytes(members[::-1])]
+    else:
+        rows = b"".join(map(int.to_bytes, members[::-1], repeat(step), repeat("little")))
+        planes = [rows[j::step] for j in range(step)]
+    return {
+        1 << p: column
+        for p in range(width)
+        if (column := int(planes[p >> 3].translate(_BIT_PLANES[p & 7]), 2))
+    }
 
 
 class _ProductionSolver:
     """Ranks of version spaces of one set system; ``memo`` grows across calls."""
 
     def __init__(self, members: tuple[int, ...], support_mask: int):
-        contains: dict[int, int] = {}
-        for i, m in enumerate(members):
-            while m:
-                t = m & -m
-                m ^= t
-                contains[t] = contains.get(t, 0) | 1 << i
-        self.contains = contains
+        self.contains = _contains(members)
         self.all_members = (1 << len(members)) - 1
         # elements with the same holders are interchangeable; a held-by-none
-        # element leads to the empty version space, of rank 0
-        self.columns = tuple({c for t, c in contains.items() if t & support_mask})
+        # element leads to the empty version space, of rank 0.  The set takes
+        # the columns in the order their elements first occur in a member
+        # (see "The solver's columns" above)
+        support = [c for t, c in self.contains.items() if t & support_mask]
+        self.columns = tuple(set(sorted(support, key=lambda c: c & -c)))
         self.memo: dict[int, int] = {0: 0}
 
     def rank(self, cover: int) -> int:
@@ -113,6 +165,21 @@ class _ProductionSolver:
         memo[cover] = best + 1
         return best + 1
 
+    def state_rank(self, cover: int, free: int, goal: int = -1) -> int:
+        """Rank of a state with version space ``cover`` whose next example is
+        drawn from ``free``: max V(cover & contains[t]) over the held ``t`` in
+        ``free``, ascending, or ``goal`` as soon as one move reaches it."""
+        rank = self.rank
+        best = 0
+        for t, column in self.contains.items():
+            if t & free:
+                r = rank(cover & column)
+                if r > best:
+                    best = r
+                    if best == goal:
+                        break
+        return best
+
     def cover(self, seen: int) -> int:
         """Indices of the members that hold every element of ``seen``."""
         contains = self.contains
@@ -136,25 +203,45 @@ def production_rank(member_masks: Sequence[int], support_mask: int) -> int:
     are drawn from ``support_mask``.
     """
     solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
-    return max(map(solver.rank, set(solver.contains.values())), default=0)
+    return solver.state_rank(solver.all_members, -1)
 
 
 def production_state_rank(
     member_masks: Sequence[int], support_mask: int, seen: int, hyp: int
 ) -> int:
-    """Rank of the game continuation from a mid-game state; used for witnesses."""
+    """Rank of the game continuation from a mid-game state."""
     solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
-    cover = solver.cover(seen)
-    contains = solver.contains
-    best = 0
-    free = support_mask & ~hyp
-    while free:
-        t = free & -free
-        free ^= t
-        r = solver.rank(cover & contains.get(t, 0))
-        if r > best:
-            best = r
-    return best
+    return solver.state_rank(solver.cover(seen), support_mask & ~hyp)
+
+
+def production_witness(
+    member_masks: Sequence[int], support_mask: int
+) -> list[tuple[int, int]]:
+    """The ``(example bit, hypothesis mask)`` steps of a longest production
+    sequence; empty when no member is nonempty.
+
+    At every state the first extension that keeps the remaining rank is
+    taken: members in the given order, each holding every example so far,
+    and a member's bits outside the last hypothesis, ascending (see "The
+    witness walk" above).
+    """
+    members = tuple(dict.fromkeys(member_masks))
+    solver = _solver(members, support_mask)
+    cover = solver.all_members
+    seen = hyp = 0
+    steps = []
+    for goal in reversed(range(solver.state_rank(cover, -1))):
+        t, hyp, cover = next(
+            (t, mask, cover & column)
+            for mask in members
+            if not seen & ~mask
+            for t, column in solver.contains.items()
+            if t & mask & ~hyp
+            and solver.state_rank(cover & column, support_mask & ~mask, goal) == goal
+        )
+        steps.append((t, hyp))
+        seen |= t
+    return steps
 
 
 def bad_sequence_rank(up_masks: Sequence[int]) -> int:

@@ -16,6 +16,7 @@ from ._kernels_py import (
     bad_sequence_rank,
     production_rank,
     production_state_rank,
+    production_witness,
     ramsey_search,
 )
 
@@ -24,6 +25,7 @@ __all__ = [
     "bad_sequence_rank",
     "production_rank",
     "production_state_rank",
+    "production_witness",
     "ramsey_search",
 ]
 

@@ -13,8 +13,12 @@ V(C & contains[t])`` over the elements ``t`` left out by some member of
 ``C``.  The two facts behind it: the covers of ``seen | {t}`` are exactly
 ``cover(seen) & contains[t]``, and some hypothesis in ``C`` leaves ``t``
 fresh exactly when that set differs from ``C``.  The tests cross-check
-the search against a naive full-tree oracle.  A witness extraction shares
-the memo that ``dim`` filled for the same system.
+the search against a naive full-tree oracle.
+
+A longest production sequence is walked in the kernel
+(``kernels.production_witness``) on the memo that ``dim`` filled for the
+same system: it returns the ``(example bit, hypothesis mask)`` steps, and
+``longest_production_sequence`` only maps them to atoms.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable, Sequence
 from . import kernels
 from .atoms import Atom
 from .errors import HypothesisNotInSystem
-from .systems import SetSystem
+from .systems import SetSystem, _bits
 
 
 @dataclass(frozen=True)
@@ -84,26 +88,6 @@ def dim(system: SetSystem) -> int:
     return _dim_cached(masks, support_mask)
 
 
-def _extension(
-    masks: tuple[int, ...], support_mask: int, seen: int, hyp: int, rank: int
-) -> tuple[int, int]:
-    """The first example bit ``t`` and member ``mask`` that extend a sequence
-    with examples ``seen`` and last hypothesis ``hyp`` to a state of ``rank``.
-
-    Members are scanned in canonical order and must hold every example so
-    far; examples are the member's bits outside ``hyp``, ascending."""
-    for mask in masks:
-        if seen & ~mask:
-            continue
-        bits = mask & ~hyp
-        while bits:
-            t = bits & -bits
-            bits ^= t
-            if kernels.production_state_rank(masks, support_mask, seen | t, mask) == rank:
-                return t, mask
-    raise AssertionError("rank bookkeeping must always yield an extension")
-
-
 def longest_production_sequence(system: SetSystem) -> ProductionSequence:
     """A witness sequence of length dim(system); empty when the dimension is 0.
 
@@ -111,14 +95,10 @@ def longest_production_sequence(system: SetSystem) -> ProductionSequence:
     and atom order) that preserves the remaining rank is taken.
     """
     support, masks = system.masks()
-    support_mask = (1 << len(support)) - 1
-    steps: list[tuple[Atom, tuple[Atom, ...]]] = []
-    seen = 0
-    hyp = 0
-    for rank in reversed(range(_dim_cached(masks, support_mask))):
-        t, hyp = _extension(masks, support_mask, seen, hyp, rank)
-        seen |= t
-        steps.append(
-            (support[t.bit_length() - 1], tuple(a for i, a in enumerate(support) if hyp >> i & 1))
+    steps = kernels.production_witness(masks, (1 << len(support)) - 1)
+    return ProductionSequence(
+        tuple(
+            (support[t.bit_length() - 1], tuple(map(support.__getitem__, _bits(hyp))))
+            for t, hyp in steps
         )
-    return ProductionSequence(tuple(steps))
+    )

@@ -32,13 +32,34 @@ BANG_SUPPORT_BOUND = 16
 MEMBER_BOUND = 1 << 16
 
 
+def _byte_table(first: int) -> list[tuple[int, ...]]:
+    """Entry b: the set bit positions of the byte b, ascending, numbered from ``first``."""
+    table = [()]
+    for bit in range(first, first + 8):
+        table += [bits + (bit,) for bits in table]
+    return table
+
+
+# bit positions of a mask's low byte and of its second byte
+_BYTE_BITS = _byte_table(0)
+_HIGH_BITS = _byte_table(8)
+# binary digits to the selector bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask``, ascending: a member's index list."""
-    bits = []
-    while mask:
-        bits.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(bits)
+    """The set bit positions of ``mask``, ascending: a member's index list.
+
+    A mask of up to two bytes is one table entry per byte; a wider one is
+    walked in C, its binary digits read lowest first as selectors over the
+    positions.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return tuple(itertools.compress(itertools.count(), digits))
 
 
 def _index_order(mask: int) -> str:

@@ -25,7 +25,7 @@ from ordkit import (
     otp,
     ramsey,
 )
-from ordkit._kernels_py import _ProductionSolver
+from ordkit._kernels_py import _ProductionSolver, production_rank, production_state_rank
 from ordkit.errors import (
     CarrierMismatch,
     FieldMismatch,
@@ -162,6 +162,59 @@ class _ProductionSolverReference(_ProductionSolver):
 
 
 production_solver_reference = _ProductionSolverReference
+
+
+def solver_columns_reference(members: tuple[int, ...], support_mask: int) -> tuple[dict, tuple]:
+    """A production solver's ``contains`` and ``columns``, by peeling every
+    member bit by bit: ``contains`` in the order the elements first occur,
+    and ``columns`` as the set of the support's columns taken in that order."""
+    contains: dict[int, int] = {}
+    for i, m in enumerate(members):
+        while m:
+            t = m & -m
+            m ^= t
+            contains[t] = contains.get(t, 0) | 1 << i
+    return contains, tuple({c for t, c in contains.items() if t & support_mask})
+
+
+def bits_reference(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending, peeled one bit at a time."""
+    bits = []
+    while mask:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(bits)
+
+
+def _extension_reference(masks, support_mask, seen, hyp, rank):
+    """The first example bit and member that extend a sequence with examples
+    ``seen`` and last hypothesis ``hyp`` to a state of ``rank``, each state
+    ranked by a full ``production_state_rank`` scan."""
+    for mask in masks:
+        if seen & ~mask:
+            continue
+        bits = mask & ~hyp
+        while bits:
+            t = bits & -bits
+            bits ^= t
+            if production_state_rank(masks, support_mask, seen | t, mask) == rank:
+                return t, mask
+    raise AssertionError("rank bookkeeping must always yield an extension")
+
+
+def production_witness_reference(
+    masks: tuple[int, ...], support_mask: int
+) -> list[tuple[int, int]]:
+    """The ``(t, hyp)`` steps of a longest production sequence by the walk that
+    ranked every candidate state from scratch: members in order, each holding
+    every example so far, and bits outside the last hypothesis, ascending."""
+    steps = []
+    seen = hyp = 0
+    for rank in reversed(range(production_rank(masks, support_mask))):
+        t, hyp = _extension_reference(masks, support_mask, seen, hyp, rank)
+        seen |= t
+        steps.append((t, hyp))
+    return steps
 
 
 def naive_otp(qo: QuasiOrder) -> int:

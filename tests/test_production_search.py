@@ -18,7 +18,12 @@ from ordkit import (
 from ordkit.atoms import atom_to_json
 from ordkit.generators import all_quasi_orders, all_systems, random_system
 
-from .oracles import naive_dim, production_solver_reference
+from .oracles import (
+    naive_dim,
+    production_solver_reference,
+    production_witness_reference,
+    solver_columns_reference,
+)
 
 
 def small_systems():
@@ -191,3 +196,53 @@ def test_production_ceiling_memo_states_are_pinned():
     co_singletons = mk_system(u, [[a for a in u if a != b] for b in u])
     assert dim(co_singletons) == 13
     assert ranked(py._ProductionSolver, co_singletons)[1] == 113
+
+
+def test_witness_walk_matches_the_reference_walk():
+    # the kernel's walk stops a candidate's scan at the remaining rank and
+    # carries the cover forward; the reference ranks every candidate in full
+    for system in ceiling_cases():
+        masks, support_mask = mask_args(system)
+        want = production_witness_reference(masks, support_mask)
+        assert kernels.production_witness(masks, support_mask) == want, system
+
+
+def test_witness_of_the_16_antichain_up_sets_is_closed_form():
+    # all 65,536 subsets of 16 points: example k, hypothesis {0, ..., k}
+    points = [leaf(f"{i:02d}") for i in range(16)]
+    system = ss(mk_qo(points))
+    assert len(system.members) == 1 << 16
+    assert dim(system) == 16
+    assert longest_production_sequence(system).steps == tuple(
+        (points[k], tuple(points[: k + 1])) for k in range(16)
+    )
+
+
+COLUMN_WIDTHS = (0, 1, 8, 9, 16, 17, 64, 65, 80)
+
+
+def column_cases():
+    """Members of every width in ``COLUMN_WIDTHS``, with zero and duplicate
+    masks among them, then 4,096 and 65,536 members."""
+    rng = random.Random(23)
+    for width in COLUMN_WIDTHS:
+        top = (1 << width) - 1
+        for count in (1, 2, 7, 40):
+            members = [rng.getrandbits(width) for _ in range(count)]
+            yield tuple(members), top
+            yield tuple(members + [0, top] + members[:3] + [0]), top
+            # a support that leaves some held bits out
+            yield tuple(members + [top]), rng.getrandbits(width)
+    yield (), 0
+    yield tuple(range(1 << 12)), (1 << 12) - 1
+    yield tuple(rng.getrandbits(80) for _ in range(1 << 12)), (1 << 80) - 1
+    yield tuple(range(1 << 16)), (1 << 16) - 1
+
+
+def test_solver_columns_match_the_bit_peeling_reference():
+    for members, support_mask in column_cases():
+        contains, columns = solver_columns_reference(members, support_mask)
+        # ascending, the order in which the witness walk tries examples
+        assert list(py._contains(members).items()) == sorted(contains.items())
+        # the same columns in the same order, so ``rank`` visits the same states
+        assert py._ProductionSolver(members, support_mask).columns == columns

@@ -26,9 +26,20 @@ from ordkit.errors import (
     UniverseTooLarge,
 )
 from ordkit.generators import random_system
-from ordkit.systems import BANG_SUPPORT_BOUND, MEMBER_BOUND, system_from_json
+from ordkit.systems import BANG_SUPPORT_BOUND, MEMBER_BOUND, _bits, system_from_json
 
-from .oracles import nats, system
+from .oracles import bits_reference, nats, system
+
+
+def test_bits_match_the_peeling_reference():
+    rng = random.Random(29)
+    masks = [0, 1 << 65535, (1 << 4096) - 1, rng.getrandbits(1 << 16)]
+    for width in (0, 1, 8, 9, 16, 17, 64, 65, 80):
+        top = (1 << width) - 1
+        masks += [top, top >> 1, 1 << width >> 1]
+        masks += [rng.getrandbits(width) if width else 0 for _ in range(50)]
+    for mask in masks:
+        assert _bits(mask) == bits_reference(mask)
 
 
 def test_mk_system_dedups_members():
