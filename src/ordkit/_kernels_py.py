@@ -26,6 +26,8 @@ reach them through ``ordkit.kernels``:
   transpositions that move the newest vertex.  Before any search, a
   degree window refutes K_n outright when no vertex degree can be valid
   (see "The Ramsey degree window" below).
+* ``transpose`` -- the columns of a bit matrix given by its rows, the
+  member-by-element matrix's among them (see "The transpose" below).
 
 The production search.  Let ``contains[t]`` be the set of members holding
 element ``t``.  Then ``V(empty) = 0`` and ``V(C) = 1 + max V(C & contains[t])``
@@ -57,18 +59,24 @@ of that key, and so are its states: ``rank`` visits the successors of a
 cover in an order fixed by the cover and ``columns`` and stops on exact
 values, so a call adds the same states whatever the memo already holds.
 
-The solver's columns.  ``contains[t]``, for every element, is one column
-of the member-by-element bit matrix, and the solver builds the columns by
-byte planes.  The members, last first, are laid out as one byte row each:
-``bytes`` of the masks when the support fits in a byte, else one
-``to_bytes`` join.  Byte plane ``j`` holds byte ``j`` of every member, and
-translating it by bit ``i`` to the digits 0 and 1 spells column
-``8j + i`` in binary, most significant member first, so one ``int(..., 2)``
-reads it.  That is one C pass per element instead of a Python step per
-member bit.  ``columns``, the distinct columns of the support, enter their
-set in the order the elements first occur in a member (members in order,
-bits ascending): the set's order steers which successors ``rank`` visits
-before its ceiling, so it fixes the memo's states.
+The transpose.  ``transpose(rows, width)`` turns a bit matrix, one mask
+per row, into its ``width`` columns: column ``t`` holds bit ``k`` when row
+``k`` holds bit ``t``.  It is the one transpose of the package, and it has
+five callers: ``_contains``, the solver's ``contains[t]``, the columns of
+the member-by-element matrix; ``orders.qo_of``, the element columns it
+compares; ``orders.ss``, the ``down`` rows of its ``up`` rows;
+``orders.linearizations``, the element rows of its blocks; and
+``systems.perp``, the fibres of the nonempty members.  The rows, last
+first, are laid out as one byte row each: ``bytes`` of the masks when
+the width fits in a byte, else one ``to_bytes`` join.  Byte plane ``j``
+holds byte ``j`` of every row, and translating it by bit ``i`` to the
+digits 0 and 1 spells column ``8j + i`` in binary, most significant row
+first, so one ``int(..., 2)`` reads it.  That is one C pass per column
+instead of a Python step per set bit.  The solver's ``columns``, the
+distinct columns of the support, enter their set in the order the
+elements first occur in a member (members in order, bits ascending): the
+set's order steers which successors ``rank`` visits before its ceiling,
+so it fixes the memo's states.
 
 The witness walk.  ``production_witness`` extends the empty play one step
 at a time and keeps the remaining rank.  With ``r + 1`` steps left at a
@@ -111,22 +119,27 @@ from typing import Optional, Sequence
 _BIT_PLANES = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
 
 
-def _contains(members: Sequence[int]) -> dict[int, int]:
-    """``contains[t]``: the indices of the members holding the bit ``t``, as a
-    bitmask, for every held bit, ascending; read off byte planes (see "The
-    solver's columns" above)."""
-    width = max(members).bit_length() if members else 0
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The ``width`` columns of the bit matrix ``rows``, every row below
+    ``2**width``: column ``t`` has bit ``k`` set iff row ``k`` has bit ``t``
+    set.  Zero columns are included; read off byte planes (see "The
+    transpose" above)."""
+    if not rows:
+        return [0] * width
     step = (width + 7) >> 3
     if step == 1:
-        planes = [bytes(members[::-1])]
+        planes = [bytes(rows[::-1])]
     else:
-        rows = b"".join(map(int.to_bytes, members[::-1], repeat(step), repeat("little")))
-        planes = [rows[j::step] for j in range(step)]
-    return {
-        1 << p: column
-        for p in range(width)
-        if (column := int(planes[p >> 3].translate(_BIT_PLANES[p & 7]), 2))
-    }
+        matrix = b"".join(map(int.to_bytes, rows[::-1], repeat(step), repeat("little")))
+        planes = [matrix[j::step] for j in range(step)]
+    return [int(planes[t >> 3].translate(_BIT_PLANES[t & 7]), 2) for t in range(width)]
+
+
+def _contains(members: Sequence[int]) -> dict[int, int]:
+    """``contains[t]``: the indices of the members holding the bit ``t``, as a
+    bitmask, for every held bit, ascending."""
+    width = max(members).bit_length() if members else 0
+    return {1 << t: column for t, column in enumerate(transpose(members, width)) if column}
 
 
 class _ProductionSolver:
@@ -138,7 +151,7 @@ class _ProductionSolver:
         # elements with the same holders are interchangeable; a held-by-none
         # element leads to the empty version space, of rank 0.  The set takes
         # the columns in the order their elements first occur in a member
-        # (see "The solver's columns" above)
+        # (see "The transpose" above)
         support = [c for t, c in self.contains.items() if t & support_mask]
         self.columns = tuple(set(sorted(support, key=lambda c: c & -c)))
         self.memo: dict[int, int] = {0: 0}

@@ -1,4 +1,5 @@
-"""The search kernels behind ``dim``, the ``otp`` certificate and the Ramsey verifier.
+"""The search kernels behind ``dim``, the ``otp`` certificate and the Ramsey
+verifier, and the one transpose of the member-by-element matrix.
 
 This module is the one entry point the rest of the package calls, always
 as ``kernels.<name>``, so a single rebinding here reroutes every caller.
@@ -8,6 +9,10 @@ that runs them, which is pure Python.
 ``bad_sequence_rank`` does not compute ``orders.otp``, which is the
 equivalence-class count; it is the definition that count is certified
 against, in the ``repre`` suite and the tests.
+
+``transpose`` turns bitmask rows into bitmask columns.  ``orders.qo_of``,
+``orders.ss``, ``orders.linearizations``, ``systems.perp`` and the
+production solver's ``contains`` all take their columns from it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from ._kernels_py import (
     production_state_rank,
     production_witness,
     ramsey_search,
+    transpose,
 )
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "production_state_rank",
     "production_witness",
     "ramsey_search",
+    "transpose",
 ]
 
 BACKEND = "python"

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
+from . import kernels
 from .atoms import Atom, atom_from_json, atom_to_json, leaf
 from .errors import (
     CarrierMismatch,
@@ -36,7 +37,7 @@ from .errors import (
     UniverseTooLarge,
     UnknownElement,
 )
-from .systems import SetSystem, _bits, _canonical
+from .systems import MEMBER_BOUND, SetSystem, _bits, _canonical
 
 SS_ELEMENT_BOUND = 20
 LINEARIZATION_BOUND = 8
@@ -187,19 +188,14 @@ def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
     removes everything below it.  What is decided in stays up-closed and
     what is decided out down-closed, so no branch is ever dead, every leaf
     is a distinct up-set, and the cost is O(n) per up-set, with no scan of
-    all 2**n subsets.
+    all 2**n subsets.  More than ``MEMBER_BOUND`` up-sets are refused as
+    the walk reaches the next one, before any system is built.
     """
     n = len(qo.elements)
     if n > max_elements:
         raise UniverseTooLarge(n, max_elements)
     up = qo.up
-    down = [0] * n
-    for i, row in enumerate(up):
-        bits = row
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            down[b.bit_length() - 1] |= 1 << i
+    down = kernels.transpose(up, n)
     full = (1 << n) - 1
     members = []
     stack = [(0, 0)]
@@ -208,6 +204,10 @@ def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
         free = full & ~(inside | outside)
         if not free:
             members.append(inside)
+            if len(members) > MEMBER_BOUND:
+                raise UniverseTooLarge(
+                    f"at least {len(members)}", MEMBER_BOUND, "up-set system", "members"
+                )
             continue
         i = (free & -free).bit_length() - 1
         stack.append((inside | up[i], outside))
@@ -221,14 +221,8 @@ def qo_of(system: SetSystem) -> QuasiOrder:
     Element x's column has bit k set iff member k contains x; an element of
     the universe outside the support lies in no member, so its column is 0.
     """
-    support, masks = system.support, system.member_masks
-    columns = []
-    for i in range(len(support)):
-        col = 0
-        for k, m in enumerate(masks):
-            if m >> i & 1:
-                col |= 1 << k
-        columns.append(col)
+    support = system.support
+    columns = kernels.transpose(system.member_masks, len(support))
     elems = support
     if support != system.universe:
         elems = tuple(sorted(set(system.universe) | set(support)))
@@ -361,11 +355,8 @@ def linearizations(
     def walk(remaining: int, blocks: list[int]):
         if remaining == 0:
             target = _chain(len(blocks))
-            rows = [0] * n
-            for level, block in enumerate(blocks):
-                for i in _bits(block):
-                    rows[i] = 1 << level
-            results.append((target, Simulation(qo, target, tuple(rows))))
+            rows = tuple(kernels.transpose(blocks, n))
+            results.append((target, Simulation(qo, target, rows)))
             return
         block = -remaining & remaining
         while block:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence
 
+from . import kernels
 from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
     DuplicateUniverseElement,
@@ -272,20 +273,30 @@ def bang(system: SetSystem) -> SetSystem:
     """Each member M becomes the family of all subsets of M, as finset atoms.
 
     The universe is every finset over the support, so it grows as
-    2**|support|; bit ``s`` is the finset of the support bits of ``s``.  A
-    support over ``BANG_SUPPORT_BOUND`` is refused before anything is built.
+    2**|support|.  The support is sorted, so the finsets' atom order is the
+    index order of their submasks: the universe is built in that order, and
+    a member is the numeral whose digit at a submask's position is 1 when
+    the submask lies inside it.  A support over ``BANG_SUPPORT_BOUND`` is
+    refused before anything is built.
     """
     support = system.support
     if len(support) > BANG_SUPPORT_BOUND:
         raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND, "support")
-    atoms = [finset(support[i] for i in _bits(s)) for s in range(1 << len(support))]
+    order = sorted(range(1 << len(support)), key=_index_order)
+    atoms = tuple(finset(support[i] for i in _bits(s)) for s in order)
+    # digit[s]: the place of submask s in a numeral written most significant first
+    digit = [0] * len(order)
+    for place, s in enumerate(reversed(order)):
+        digit[s] = place
     members = []
     for m in system.member_masks:
-        down, s = 1, m  # bit 0 is the empty submask; the loop adds the others
+        # the empty submask is atom 0, the last digit; the loop adds the others
+        numeral, s = bytearray(b"0" * (len(order) - 1) + b"1"), m
         while s:
-            down, s = down | 1 << s, (s - 1) & m
-        members.append(down)
-    return _canonical(tuple(sorted(atoms)), atoms, members)
+            numeral[digit[s]] = 49  # the digit "1"
+            s = (s - 1) & m
+        members.append(int(numeral, 2))
+    return _canonical(atoms, atoms, members)
 
 
 def perp(system: SetSystem) -> SetSystem:
@@ -296,6 +307,4 @@ def perp(system: SetSystem) -> SetSystem:
     """
     masks = [m for m in system.member_masks if m]
     atoms = tuple(finset(m) for m in system.members if m)
-    members = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1)
-               for i in range(len(system.support))]
-    return _canonical(atoms, atoms, members)
+    return _canonical(atoms, atoms, kernels.transpose(masks, len(system.support)))

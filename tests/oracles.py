@@ -177,6 +177,18 @@ def solver_columns_reference(members: tuple[int, ...], support_mask: int) -> tup
     return contains, tuple({c for t, c in contains.items() if t & support_mask})
 
 
+def transpose_reference(rows, width: int) -> list[int]:
+    """The ``width`` columns of the bit matrix ``rows``, by peeling every row
+    bit by bit: column ``t`` has bit ``k`` set iff row ``k`` has bit ``t``."""
+    columns = [0] * width
+    for k, row in enumerate(rows):
+        while row:
+            t = row & -row
+            row ^= t
+            columns[t.bit_length() - 1] |= 1 << k
+    return columns
+
+
 def bits_reference(mask: int) -> tuple[int, ...]:
     """The set bit positions of ``mask``, ascending, peeled one bit at a time."""
     bits = []

@@ -331,6 +331,14 @@ def test_out_of_field_error_names_the_first_bad_atom_given(tmp_path):
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith(f"error: {bad}.pairs: k is not in the trace field\n")
 
+
+def test_ss_over_budget_exits_2(runner, tmp_path):
+    antichain = tmp_path / "antichain-20.json"
+    antichain.write_text(json.dumps({"elements": [str(i) for i in range(20)], "le": []}))
+    result = runner.invoke(main, ["--json", "ss", str(antichain)])
+    _bad_input_exit(result, "up-set system has at least 65537 members, limit is 65536")
+
+
 def test_disjoint_over_budget_exits_2(runner, tmp_path):
     four = tmp_path / "four.json"
     four.write_text(json.dumps({"universe": ["0", "1"], "sets": [[], ["0"], ["1"], ["0", "1"]]}))

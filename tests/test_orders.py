@@ -23,7 +23,7 @@ from ordkit import (
     ss,
     upset,
 )
-from ordkit import kernels
+from ordkit import kernels, orders
 from ordkit.errors import (
     CarrierMismatch,
     NotALattice,
@@ -40,6 +40,7 @@ from ordkit.generators import (
     random_simulation,
     random_system,
 )
+from ordkit.systems import MEMBER_BOUND
 
 from .oracles import (
     coatomic_reference,
@@ -177,6 +178,18 @@ def test_ss_of_a_20_chain_is_its_21_final_segments():
     got = ss(mk_qo(u, [(u[i], u[i + 1]) for i in range(19)]))
     assert len(got.members) == 21
     assert got.to_json() == mk_system(u, [u[i:] for i in range(21)]).to_json()
+
+
+def test_ss_refuses_more_up_sets_than_the_member_bound(monkeypatch):
+    # 16 incomparable points have exactly MEMBER_BOUND up-sets; 20 pass the
+    # element bound but have 2**20, and the walk stops at the first one over
+    assert len(ss(antichain(16)).members) == MEMBER_BOUND
+    monkeypatch.setattr(orders, "_canonical", None)  # never reached
+    with pytest.raises(UniverseTooLarge) as refused:
+        ss(antichain(20))
+    assert str(refused.value) == (
+        f"up-set system has at least {MEMBER_BOUND + 1} members, limit is {MEMBER_BOUND}"
+    )
 
 
 def test_qo_of_examples():

@@ -23,6 +23,7 @@ from .oracles import (
     production_solver_reference,
     production_witness_reference,
     solver_columns_reference,
+    transpose_reference,
 )
 
 
@@ -246,3 +247,10 @@ def test_solver_columns_match_the_bit_peeling_reference():
         assert list(py._contains(members).items()) == sorted(contains.items())
         # the same columns in the same order, so ``rank`` visits the same states
         assert py._ProductionSolver(members, support_mask).columns == columns
+        # every column, zero ones included, up to the highest set bit and past
+        # it, within its byte and into new byte planes; the cases hold no rows,
+        # all-zero rows and rows up to 80 bits wide
+        width = max(members, default=0).bit_length()
+        want = transpose_reference(members, width)
+        for extra in (0, 1, 9):
+            assert kernels.transpose(members, width + extra) == want + [0] * extra
