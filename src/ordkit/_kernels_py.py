@@ -10,6 +10,8 @@ reach them through ``ordkit.kernels``:
   one search memoised on the version space (Mitchell, "Generalization as
   Search", AIJ 1982): the set ``C`` of members that still cover every
   example presented so far, itself a bitmask over member indices.
+* ``elasticity_witness`` -- the first elasticity chain of a given length,
+  walked on the same search's ranks (see "The chain walk" below).
 * ``bad_sequence_rank`` -- rank of the tree of bad sequences of a finite
   quasi-order, memoized on the forbidden upward closure.  It explores up
   to 2**n states and certifies ``orders.otp``, the equivalence-class
@@ -61,12 +63,10 @@ values, so a call adds the same states whatever the memo already holds.
 
 The transpose.  ``transpose(rows, width)`` turns a bit matrix, one mask
 per row, into its ``width`` columns: column ``t`` holds bit ``k`` when row
-``k`` holds bit ``t``.  It is the one transpose of the package, and it has
-five callers: ``_contains``, the solver's ``contains[t]``, the columns of
-the member-by-element matrix; ``orders.qo_of``, the element columns it
-compares; ``orders.ss``, the ``down`` rows of its ``up`` rows;
-``orders.linearizations``, the element rows of its blocks; and
-``systems.perp``, the fibres of the nonempty members.  The rows, last
+``k`` holds bit ``t``.  It is the one transpose of the package: the
+solver's ``contains[t]`` and the chain walk's columns are the columns of
+a member-by-element matrix, and ``orders`` and ``systems.perp`` take
+element columns, ``down`` rows and fibres from it.  The rows, last
 first, are laid out as one byte row each: ``bytes`` of the masks when
 the width fits in a byte, else one ``to_bytes`` join.  Byte plane ``j``
 holds byte ``j`` of every row, and translating it by bit ``i`` to the
@@ -93,6 +93,17 @@ rank is one more than the largest rank among its successors.  So a move
 that reaches ``r`` settles the maximum.  ``production_state_rank`` is the
 same scan for one state, with no stop, and ``production_rank`` the scan of
 the opening state, where every member is a cover and every element free.
+
+The chain walk.  In a chain ``t_0, (i_1, t_1), ..., (i_k, t_k)`` family
+``i_j`` holds ``t_0 .. t_{j-1}`` and misses ``t_j``, so the cover, the
+families that may come next, starts as the holders of ``t_0`` and each
+step shrinks it to the strict subset ``cover & column[t_j]``.  With the
+full rows dropped (they are never chosen) every nonempty cover has a
+step, so ``rank(cover)`` is the most steps left.  The walk takes the
+first ``t_0``, then the first family of the cover and its first missing
+element, whose cover still ranks the steps left: the first chain of the
+depth-first search in index order.  The solver gets the rows over the
+distinct columns, so its ``contains`` keys stay narrow at any width.
 
 The Ramsey degree window.  Let ``U(a, b)`` be the Greenwood–Gleason bound:
 ``U = 1`` when ``min(a, b) = 1``, ``U = max(a, b)`` when ``min(a, b) = 2``,
@@ -255,6 +266,33 @@ def production_witness(
         steps.append((t, hyp))
         seen |= t
     return steps
+
+
+def elasticity_witness(
+    rows: Sequence[int], width: int, length: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """The first ``length``-step chain ``(elements, families)`` of the families
+    ``rows`` over the elements below ``width``, or None ("The chain walk")."""
+    full = (1 << width) - 1
+    index = [i for i, row in enumerate(rows) if row != full]
+    columns = transpose([rows[i] for i in index], width)
+    distinct = list(dict.fromkeys(columns))
+    rank = _solver(tuple(transpose(distinct, len(index))), (1 << len(distinct)) - 1).rank
+    t0 = next((t for t, cover in enumerate(columns) if rank(cover) >= length), None)
+    if t0 is None:
+        return None
+    cover, elements, families = columns[t0], [t0], []
+    for need in reversed(range(length)):
+        i, t, cover = next(
+            (i, t, nxt)
+            for d, i in enumerate(index)
+            if cover >> d & 1
+            for t, column in enumerate(columns)
+            if not column >> d & 1 and rank(nxt := cover & column) >= need
+        )
+        elements.append(t)
+        families.append(i)
+    return elements, families
 
 
 def bad_sequence_rank(up_masks: Sequence[int]) -> int:

@@ -40,6 +40,7 @@ from .generators import (
     sequential_traces,
 )
 from .lang import (
+    ElasticityChain,
     all_words,
     canonical_family,
     closure_bounded,
@@ -620,12 +621,7 @@ def run_paper_fixtures(report, rng, trials, bound):
     for name, families in (("dcl", (0, 1, 2, 3, 4)), ("cosingl", (1, 2, 3, 4, 5))):
         fam = canonical_family(name)
         chain = elasticity_chain(fam, 5)
-        if (
-            chain is None
-            or not validate_chain(fam, chain)
-            or chain.elements != (0, 1, 2, 3, 4, 5)
-            or chain.families != families
-        ):
+        if chain != ElasticityChain((0, 1, 2, 3, 4, 5), families) or not validate_chain(fam, chain):
             report.fail(8, {}, family=name)
     singl_f = canonical_family("singl")
     if elasticity_chain(singl_f, 2) is not None:

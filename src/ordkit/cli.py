@@ -312,21 +312,14 @@ def chain_cmd(args):
     """Search for an elasticity chain of the given length."""
     fam = canonical_family(args.family)
     chain = elasticity_chain(
-        fam,
-        args.length,
-        element_horizon=args.element_horizon,
-        family_horizon=args.family_horizon,
+        fam, args.length, element_horizon=args.element_horizon, family_horizon=args.family_horizon
     )
     if chain is None:
         _emit(args, {"found": False}, "none found within the horizons")
         return
     assert validate_chain(fam, chain)
-    payload = {"found": True, **chain.to_json()}
-    _emit(
-        args,
-        payload,
-        f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}",
-    )
+    text = f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}"
+    _emit(args, {"found": True, **chain.to_json()}, text)
 
 
 @_command(

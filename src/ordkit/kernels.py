@@ -1,5 +1,5 @@
-"""The search kernels behind ``dim``, the ``otp`` certificate and the Ramsey
-verifier, and the one transpose of the member-by-element matrix.
+"""The search kernels behind ``dim``, ``chain``, the ``otp`` certificate and
+the Ramsey verifier, and the one transpose of the member-by-element matrix.
 
 This module is the one entry point the rest of the package calls, always
 as ``kernels.<name>``, so a single rebinding here reroutes every caller.
@@ -10,15 +10,16 @@ that runs them, which is pure Python.
 equivalence-class count; it is the definition that count is certified
 against, in the ``repre`` suite and the tests.
 
-``transpose`` turns bitmask rows into bitmask columns.  ``orders.qo_of``,
-``orders.ss``, ``orders.linearizations``, ``systems.perp`` and the
-production solver's ``contains`` all take their columns from it.
+``dim`` ranks by ``production_rank`` and walks ``production_witness``, and
+``chain`` walks ``elasticity_witness``: three callers of one production
+solver.  ``transpose`` turns bitmask rows into columns for the package.
 """
 
 from __future__ import annotations
 
 from ._kernels_py import (
     bad_sequence_rank,
+    elasticity_witness,
     production_rank,
     production_state_rank,
     production_witness,
@@ -29,6 +30,7 @@ from ._kernels_py import (
 __all__ = [
     "BACKEND",
     "bad_sequence_rank",
+    "elasticity_witness",
     "production_rank",
     "production_state_rank",
     "production_witness",

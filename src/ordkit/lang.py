@@ -20,10 +20,11 @@ word space over it before building anything.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterable, Optional
 
+from . import kernels
 from .atoms import word
 from .errors import (
     AlphabetMismatch,
@@ -42,6 +43,8 @@ Word = str
 # (s distinct letters, n the longest word they could build) above this;
 # {a, b} up to length 12 (8,191 words) still fits
 LANG_WORD_BOUND = 1 << 13
+# elasticity_chain reads its E * F membership cells at once; min(E, F) <= 256 bounds rank's depth
+CHAIN_CELL_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -302,9 +305,7 @@ class LazyFamily:
 
 
 def _unpair(k: int) -> tuple[int, int]:
-    t = 0
-    while (t + 1) * (t + 2) // 2 <= k:
-        t += 1
+    t = (math.isqrt(8 * k + 1) - 1) // 2  # the largest t with t(t+1)/2 <= k
     r = k - t * (t + 1) // 2
     return r, t - r + 1
 
@@ -384,23 +385,18 @@ def elasticity_chain(
     element_horizon: int = 64,
     family_horizon: int = 64,
 ) -> Optional[ElasticityChain]:
-    """Depth-first search for a length-k elasticity prefix within the horizons.
-
-    Returns the first chain in deterministic index order, or None when no
-    chain exists inside the horizons (which proves nothing beyond them).
+    """The first length-k elasticity prefix within the horizons in depth-first
+    order (``t_0`` ascending, then the lowest family holding every element
+    so far, then its lowest missing element), or None, which proves nothing
+    beyond the horizons.
 
     A chain of length k needs k + 1 distinct elements and k distinct
     families: t_j is outside i_j while i_j holds every earlier element, so
     t_j differs from them; and every later family holds t_j, so i_j differs
     from all of them.  So ``k > min(element_horizon - 1, family_horizon)``
-    is answered None before any membership is read.
-
-    The families that may come next are those of the cover, the bitmask of
-    in-horizon families holding every element picked so far, and each pick
-    ``t`` shrinks it to ``cover & contains(t)``.  So whether a partial
-    chain completes depends only on its cover and the steps still needed,
-    and the search records the pairs that fail as dead: it skips only
-    subtrees known to hold no chain and keeps the index order.
+    is answered None before any membership is read.  Otherwise a matrix of
+    more than ``CHAIN_CELL_BOUND`` cells is refused, before any read; else
+    it is read once, one row per family, for ``kernels.elasticity_witness``.
     """
     if k < 1:
         raise InvalidQuery("chain length must be at least 1")
@@ -410,36 +406,10 @@ def elasticity_chain(
         raise InvalidQuery(f"family_horizon must be at least 0, got {family_horizon}")
     if k > min(element_horizon - 1, family_horizon):
         return None
-    mem = cache(family.member_index)
-
-    @cache
-    def contains(t: int) -> int:
-        return sum(1 << i for i in range(family_horizon) if mem(i, t))
-
-    dead: set[tuple[int, int]] = set()
-    elements: list[int] = []
-    families: list[int] = []
-
-    def extend(cover: int, need: int) -> bool:
-        if not need:
-            return True
-        if (cover, need) in dead:
-            return False
-        for i in range(family_horizon):
-            if cover >> i & 1:
-                for t in range(element_horizon):
-                    if not mem(i, t):
-                        families.append(i)
-                        elements.append(t)
-                        if extend(cover & contains(t), need - 1):
-                            return True
-                        families.pop()
-                        elements.pop()
-        dead.add((cover, need))
-        return False
-
-    for t0 in range(element_horizon):
-        elements = [t0]
-        if extend(contains(t0), k):
-            return ElasticityChain(tuple(elements), tuple(families))
-    return None
+    cells = element_horizon * family_horizon
+    if cells > CHAIN_CELL_BOUND:
+        raise UniverseTooLarge(cells, CHAIN_CELL_BOUND, "membership matrix", "cells")
+    member, digits = family.member_index, range(element_horizon - 1, -1, -1)
+    rows = [int("".join("01"[bool(member(i, t))] for t in digits), 2) for i in range(family_horizon)]
+    found = kernels.elasticity_witness(rows, element_horizon, k)
+    return None if found is None else ElasticityChain(*map(tuple, found))

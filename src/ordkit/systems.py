@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence
 
 from . import kernels
-from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
+from .atoms import FINSET, Atom, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
     DuplicateUniverseElement,
     ElementOutsideUniverse,
@@ -273,7 +273,8 @@ def bang(system: SetSystem) -> SetSystem:
     """Each member M becomes the family of all subsets of M, as finset atoms.
 
     The universe is every finset over the support, so it grows as
-    2**|support|.  The support is sorted, so the finsets' atom order is the
+    2**|support|.  The support is sorted and distinct, so a submask's index
+    list spells its finset as it stands, and the finsets' atom order is the
     index order of their submasks: the universe is built in that order, and
     a member is the numeral whose digit at a submask's position is 1 when
     the submask lies inside it.  A support over ``BANG_SUPPORT_BOUND`` is
@@ -283,7 +284,7 @@ def bang(system: SetSystem) -> SetSystem:
     if len(support) > BANG_SUPPORT_BOUND:
         raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND, "support")
     order = sorted(range(1 << len(support)), key=_index_order)
-    atoms = tuple(finset(support[i] for i in _bits(s)) for s in order)
+    atoms = tuple(Atom((FINSET, tuple(map(support.__getitem__, _bits(s))))) for s in order)
     # digit[s]: the place of submask s in a numeral written most significant first
     digit = [0] * len(order)
     for place, s in enumerate(reversed(order)):

@@ -388,6 +388,27 @@ def test_lang_and_chain_commands(runner, tmp_path):
     assert json.loads(result.output) == {"found": False}
 
 
+def test_chain_over_its_budget_exits_2_naming_it(runner):
+    argv = ["chain", "--family", "arith_prog", "--length", "15",
+            "--element-horizon", "4000", "--family-horizon", "4000"]
+    _bad_input_exit(runner.invoke(main, argv),
+                    "membership matrix has 16000000 cells, limit is 65536")
+
+
+def test_chain_of_1200_steps_exits_2():
+    # the recursive search this replaced hit the recursion limit here (exit 3)
+    argv = ["chain", "--family", "cosingl", "--length", "1200",
+            "--element-horizon", "1300", "--family-horizon", "1300"]
+    src = str(Path(ordkit.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ordkit.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: membership matrix has 1690000 cells, limit is 65536\n"
+
+
 def strip_ms(output):
     reports = json.loads(output)
     for r in reports:

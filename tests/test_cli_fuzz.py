@@ -117,13 +117,19 @@ def hostile_ints(draw, top):
     return draw(st.integers(-3, top))
 
 
+# horizon pairs at CHAIN_CELL_BOUND (65,536 cells), read in full, and just over it, refused;
+# neither horizon is below 16, so lengths up to 15 reach the read or the refusal
+_BUDGET_HORIZONS = [(256, 256), (4096, 16), (16, 4096), (256, 257), (257, 256), (4097, 16)]
+
+
 @st.composite
 def flag_invocations(draw):
     """``ramsey``, ``lang --max-len`` and ``chain`` with hostile integers.
 
-    The ``chain`` search is exhaustive inside its horizons, so those stay
-    small; ``arith_prog`` chains of length 5 already take seconds at the
-    default horizons.
+    ``chain`` reads its whole membership matrix and walks the production
+    solver, so every family answers any length in milliseconds at small
+    horizons and in well under a second at the cell budget.  The horizons
+    are small, or a pair on either side of that budget.
     """
     command = draw(st.sampled_from(["ramsey", "lang", "chain"]))
     if command == "ramsey":
@@ -138,10 +144,9 @@ def flag_invocations(draw):
         docs = [draw(fragments) for _ in range(2 if kind == "shuffle" else 1)]
         return ["lang", kind, "--max-len", str(max_len)], docs
     family = draw(st.sampled_from(["singl", "dcl", "cosingl", "arith_prog"]))
-    length, element_horizon, family_horizon = (
-        draw(st.integers(-3, 4 if family == "arith_prog" else 5)),
-        draw(st.integers(-3, 12)),
-        draw(st.integers(-3, 12)),
+    length = draw(st.integers(-3, 20))
+    element_horizon, family_horizon = draw(
+        st.tuples(st.integers(-3, 12), st.integers(-3, 12)) | st.sampled_from(_BUDGET_HORIZONS)
     )
     return ["chain", "--family", family, "--length", str(length),
             "--element-horizon", str(element_horizon),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -30,7 +31,13 @@ from ordkit.errors import (
     UniverseTooLarge,
     UnknownFamily,
 )
-from ordkit.lang import LANG_WORD_BOUND, ElasticityChain, all_words, fragment_from_json
+from ordkit.lang import (
+    CHAIN_CELL_BOUND,
+    LANG_WORD_BOUND,
+    ElasticityChain,
+    all_words,
+    fragment_from_json,
+)
 
 from .oracles import (
     closure_reference,
@@ -289,11 +296,52 @@ def test_elasticity_chain_matches_the_unmemoised_search(name, transform):
     family = canonical_family(name)
     if transform is not None:
         family = family_transform(transform, family, element_horizon=24)
+    # the reference takes about 2.8 s over all cases up to k = 5, and 6.7 s up to k = 6
     for horizon in (12, 24):
-        for k in range(1, 5):
+        for k in range(1, 6):
             chain = elasticity_chain(family, k, element_horizon=horizon, family_horizon=horizon)
             got = None if chain is None else (chain.elements, chain.families)
             assert got == elasticity_chain_reference(family, k, horizon, horizon)
+
+
+# sha256 of the JSON list of [family, transform, k, chain or None] below,
+# recorded with the depth-first search that kept its own dead-state memo
+_CHAIN_GRID_DIGEST = "41f9c137fd27c9852fdff7b4e6cc64439665e8a89795d74e20942898cd262f81"
+
+
+def test_elasticity_chains_at_64_by_64_match_the_recorded_digest():
+    rows = []
+    for name in ("singl", "dcl", "cosingl", "arith_prog"):
+        for transform in (None, "complement", "down_closure"):
+            family = canonical_family(name)
+            if transform is not None:
+                family = family_transform(transform, family, element_horizon=64)
+            for k in range(1, 21):
+                chain = elasticity_chain(family, k, element_horizon=64, family_horizon=64)
+                rows.append([name, transform, k, None if chain is None else chain.to_json()])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _CHAIN_GRID_DIGEST
+
+
+def test_elasticity_chain_over_budget_reads_no_membership():
+    dcl = canonical_family("dcl")
+    calls = []
+
+    def member_index(i, n):
+        calls.append((i, n))
+        return dcl.member_index(i, n)
+
+    counted = dataclasses.replace(dcl, member_index=member_index)
+    assert CHAIN_CELL_BOUND == 65536
+    with pytest.raises(UniverseTooLarge, match="65537 cells, limit is 65536"):
+        elasticity_chain(counted, 1, element_horizon=65537, family_horizon=1)
+    with pytest.raises(UniverseTooLarge, match="1690000 cells, limit is 65536"):
+        elasticity_chain(counted, 1200, element_horizon=1300, family_horizon=1300)
+    assert calls == []
+    # at the budget the whole matrix is read, once
+    chain = elasticity_chain(counted, 3, element_horizon=256, family_horizon=256)
+    assert chain == ElasticityChain((0, 1, 2, 3), (0, 1, 2))
+    assert len(calls) == len(set(calls)) == 65536
 
 
 def test_validator_rejects_corrupt_chain():

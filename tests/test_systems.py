@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -25,7 +26,7 @@ from ordkit.errors import (
     EmptyOperandList,
     UniverseTooLarge,
 )
-from ordkit.generators import random_system
+from ordkit.generators import all_systems, random_system
 from ordkit.systems import BANG_SUPPORT_BOUND, MEMBER_BOUND, _bits, system_from_json
 
 from .oracles import bits_reference, nats, system
@@ -211,6 +212,18 @@ def test_bang_examples():
         sorted(bang(b).member_sets, key=len), sorted(b.member_sets, key=len)
     ):
         assert len(member) == 2 ** len(source)
+
+
+def test_bang_output_matches_the_recorded_digest():
+    # sha256 of every system on at most 3 points and 200 seeded ones on 4 to
+    # 10 points, recorded when bang still built each atom through finset
+    systems = [s for n in range(4) for s in all_systems(n)]
+    rng = random.Random(26)
+    systems += [random_system(rng, rng.randint(4, 10), 6) for _ in range(200)]
+    digest = hashlib.sha256()
+    for s in systems:
+        digest.update(json.dumps(bang(s).to_json()).encode())
+    assert digest.hexdigest() == "94b1271c1dc7992294caf721bf6ccbb1af8f29bd617954dd99e71de45dfe02f0"
 
 
 def test_bang_refuses_a_support_over_budget():
