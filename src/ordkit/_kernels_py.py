@@ -6,7 +6,9 @@ reach them through ``ordkit.kernels``:
 * ``production_rank`` / ``production_state_rank`` / ``production_witness``
   -- rank of the example/hypothesis game tree of a set system, rank of its
   continuation from a mid-game state, and a longest play.  Members and
-  example sets are bitmasks over the support.  All three are answered by
+  example sets are bitmasks over the elements.  The kernels take the
+  members alone: every example lies in the next hypothesis, so only the
+  elements some member holds are ever played.  All three are answered by
   one search memoised on the version space (Mitchell, "Generalization as
   Search", AIJ 1982): the set ``C`` of members that still cover every
   example presented so far, itself a bitmask over member indices.
@@ -54,7 +56,7 @@ which lies inside ``D_i``, would lie inside ``contains[t_j]``, and move
 antichain up-sets, where ``|C|`` is exponential in the support but
 ``len(nexts)`` is linear in it.
 
-One solver, and so one memo, is shared per (deduplicated members, support)
+One solver, and so one memo, is shared per (deduplicated members, cap)
 in a small LRU cache, and each kernel call looks it up once, so a witness
 walks the memo that the rank just filled.  Memo values are pure functions
 of that key, and so are its states: ``rank`` visits the successors of a
@@ -73,7 +75,7 @@ holds byte ``j`` of every row, and translating it by bit ``i`` to the
 digits 0 and 1 spells column ``8j + i`` in binary, most significant row
 first, so one ``int(..., 2)`` reads it.  That is one C pass per column
 instead of a Python step per set bit.  The solver's ``columns``, the
-distinct columns of the support, enter their set in the order the
+distinct columns of the held elements, enter their set in the order the
 elements first occur in a member (members in order, bits ascending): the
 set's order steers which successors ``rank`` visits before its ceiling,
 so it fixes the memo's states.
@@ -104,6 +106,22 @@ first ``t_0``, then the first family of the cover and its first missing
 element, whose cover still ranks the steps left: the first chain of the
 depth-first search in index order.  The solver gets the rows over the
 distinct columns, so its ``contains`` keys stay narrow at any width.
+
+The walk only asks whether a cover ranks at least the steps left, which
+never exceed ``length``, so its solver is capped at ``length``: ``rank``
+returns ``min(V(C), cap)``.  It scans with the ceiling ``min(len(nexts),
+|C| - 1, cap - 1)``, stops once its best reaches it and clamps the best
+to it; at a ceiling of 0 it ranks no successor.  That is exact, since
+``min(1 + m, cap) = 1 + min(m, cap - 1)`` and ``min(max V(next), cap -
+1)`` is ``min(max min(V(next), cap), cap - 1)``; so the memo holds
+exactly ``min(V(C), cap)``, a pure function of the solver's key.  A test
+``rank(cover) >= need`` with ``need <= length`` reads the same under the
+cap, so the walk returns the uncapped walk's chain, but no cover is
+ranked past ``length``: on the complement of ``arith_prog`` at 64 x 64
+the memo holds 3 states at length 1 and 23,921 at length 15, where
+ranking the first cover in full took 1,540,029.  The default cap,
+``len(members) + 1``, never binds, because ``V(C) <= |C|``; ``dim`` and
+its witness walk see the uncapped ranks.
 
 The Ramsey degree window.  Let ``U(a, b)`` be the Greenwood–Gleason bound:
 ``U = 1`` when ``min(a, b) = 1``, ``U = max(a, b)`` when ``min(a, b) = 2``,
@@ -156,19 +174,20 @@ def _contains(members: Sequence[int]) -> dict[int, int]:
 class _ProductionSolver:
     """Ranks of version spaces of one set system; ``memo`` grows across calls."""
 
-    def __init__(self, members: tuple[int, ...], support_mask: int):
+    def __init__(self, members: tuple[int, ...], cap: Optional[int] = None):
         self.contains = _contains(members)
         self.all_members = (1 << len(members)) - 1
-        # elements with the same holders are interchangeable; a held-by-none
-        # element leads to the empty version space, of rank 0.  The set takes
+        # V(C) <= |C|, so the default cap never binds ("The chain walk" above)
+        self.cap = len(members) + 1 if cap is None else cap
+        # elements with the same holders are interchangeable.  The set takes
         # the columns in the order their elements first occur in a member
         # (see "The transpose" above)
-        support = [c for t, c in self.contains.items() if t & support_mask]
-        self.columns = tuple(set(sorted(support, key=lambda c: c & -c)))
+        self.columns = tuple(set(sorted(self.contains.values(), key=lambda c: c & -c)))
         self.memo: dict[int, int] = {0: 0}
 
     def rank(self, cover: int) -> int:
-        """V(cover): the longest play whose first hypothesis lies in ``cover``."""
+        """min(V(cover), cap): the longest play whose first hypothesis lies in
+        ``cover``, or ``cap`` if that is longer."""
         memo = self.memo
         val = memo.get(cover)
         if val is not None:
@@ -176,16 +195,18 @@ class _ProductionSolver:
         nexts = {cover & c for c in self.columns}
         nexts.discard(cover)
         # max V(next) is at most either count ("The production ceiling" above)
-        ceiling = min(len(nexts), cover.bit_count() - 1)
+        ceiling = min(len(nexts), cover.bit_count() - 1, self.cap - 1)
         best = 0
-        for nxt in nexts:
-            r = memo.get(nxt)
-            if r is None:
-                r = self.rank(nxt)
-            if r > best:
-                best = r
-                if best == ceiling:
-                    break
+        if ceiling > 0:  # else no successor needs ranking
+            for nxt in nexts:
+                r = memo.get(nxt)
+                if r is None:
+                    r = self.rank(nxt)
+                if r > best:
+                    best = r
+                    if best >= ceiling:
+                        best = ceiling
+                        break
         memo[cover] = best + 1
         return best + 1
 
@@ -216,31 +237,23 @@ class _ProductionSolver:
 
 
 @lru_cache(maxsize=8)
-def _solver(members: tuple[int, ...], support_mask: int) -> _ProductionSolver:
-    return _ProductionSolver(members, support_mask)
+def _solver(members: tuple[int, ...], cap: Optional[int] = None) -> _ProductionSolver:
+    return _ProductionSolver(members, cap)
 
 
-def production_rank(member_masks: Sequence[int], support_mask: int) -> int:
-    """Length of the longest production sequence (0 if no nonempty member).
-
-    The opening example may be any element of any member; later examples
-    are drawn from ``support_mask``.
-    """
-    solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
+def production_rank(member_masks: Sequence[int]) -> int:
+    """Length of the longest production sequence (0 if no nonempty member)."""
+    solver = _solver(tuple(dict.fromkeys(member_masks)))
     return solver.state_rank(solver.all_members, -1)
 
 
-def production_state_rank(
-    member_masks: Sequence[int], support_mask: int, seen: int, hyp: int
-) -> int:
+def production_state_rank(member_masks: Sequence[int], seen: int, hyp: int) -> int:
     """Rank of the game continuation from a mid-game state."""
-    solver = _solver(tuple(dict.fromkeys(member_masks)), support_mask)
-    return solver.state_rank(solver.cover(seen), support_mask & ~hyp)
+    solver = _solver(tuple(dict.fromkeys(member_masks)))
+    return solver.state_rank(solver.cover(seen), ~hyp)
 
 
-def production_witness(
-    member_masks: Sequence[int], support_mask: int
-) -> list[tuple[int, int]]:
+def production_witness(member_masks: Sequence[int]) -> list[tuple[int, int]]:
     """The ``(example bit, hypothesis mask)`` steps of a longest production
     sequence; empty when no member is nonempty.
 
@@ -250,7 +263,7 @@ def production_witness(
     witness walk" above).
     """
     members = tuple(dict.fromkeys(member_masks))
-    solver = _solver(members, support_mask)
+    solver = _solver(members)
     cover = solver.all_members
     seen = hyp = 0
     steps = []
@@ -260,8 +273,7 @@ def production_witness(
             for mask in members
             if not seen & ~mask
             for t, column in solver.contains.items()
-            if t & mask & ~hyp
-            and solver.state_rank(cover & column, support_mask & ~mask, goal) == goal
+            if t & mask & ~hyp and solver.state_rank(cover & column, ~mask, goal) == goal
         )
         steps.append((t, hyp))
         seen |= t
@@ -277,7 +289,7 @@ def elasticity_witness(
     index = [i for i, row in enumerate(rows) if row != full]
     columns = transpose([rows[i] for i in index], width)
     distinct = list(dict.fromkeys(columns))
-    rank = _solver(tuple(transpose(distinct, len(index))), (1 << len(distinct)) - 1).rank
+    rank = _solver(tuple(transpose(distinct, len(index))), length).rank
     t0 = next((t for t, cover in enumerate(columns) if rank(cover) >= length), None)
     if t0 is None:
         return None

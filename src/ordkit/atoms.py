@@ -39,7 +39,8 @@ class Atom(tuple):
             return f"{self[1]!r}@{self[2]}"
         if shape == WORD:
             return "w'" + "".join(self[1]) + "'"
-        return "{" + ",".join(repr(a) for a in self[1]) + "}"
+        # a direct call, like ``!r`` above, costs two stack frames per level
+        return "{" + ",".join([a.__repr__() for a in self[1]]) + "}"
 
 
 def leaf(token: str) -> Atom:
@@ -82,9 +83,16 @@ def atom_to_json(atom: Atom):
     return {"finset": [atom_to_json(a) for a in atom[1]]}
 
 
-def atom_from_json(obj, path: str = "$") -> Atom:
+# the deepest nesting of pair, tag, word and finset levels an input atom may
+# have; printing an atom takes two stack frames per level
+ATOM_DEPTH_BOUND = 256
+
+
+def atom_from_json(obj, path: str = "$", depth: int = 0) -> Atom:
     if isinstance(obj, str):
         return leaf(obj)
+    if depth >= ATOM_DEPTH_BOUND:
+        raise InputError(f"{path}: atom nested more than {ATOM_DEPTH_BOUND} levels deep")
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError(
             f"{path}: expected an atom (string or one-key object), got {obj!r}"
@@ -94,8 +102,8 @@ def atom_from_json(obj, path: str = "$") -> Atom:
         if not isinstance(body, list) or len(body) != 2:
             raise InputError(f"{path}.pair: expected a two-element list")
         return pair(
-            atom_from_json(body[0], f"{path}.pair[0]"),
-            atom_from_json(body[1], f"{path}.pair[1]"),
+            atom_from_json(body[0], f"{path}.pair[0]", depth + 1),
+            atom_from_json(body[1], f"{path}.pair[1]", depth + 1),
         )
     if kind == "tag":
         if (
@@ -106,7 +114,7 @@ def atom_from_json(obj, path: str = "$") -> Atom:
             or body[1] < 0
         ):
             raise InputError(f"{path}.tag: expected [atom, nonnegative int]")
-        return tagged(atom_from_json(body[0], f"{path}.tag[0]"), body[1])
+        return tagged(atom_from_json(body[0], f"{path}.tag[0]", depth + 1), body[1])
     if kind == "word":
         if not isinstance(body, list) or not all(isinstance(s, str) for s in body):
             raise InputError(f"{path}.word: expected a list of strings")
@@ -115,7 +123,7 @@ def atom_from_json(obj, path: str = "$") -> Atom:
         if not isinstance(body, list):
             raise InputError(f"{path}.finset: expected a list of atoms")
         return finset(
-            atom_from_json(a, f"{path}.finset[{i}]") for i, a in enumerate(body)
+            atom_from_json(a, f"{path}.finset[{i}]", depth + 1) for i, a in enumerate(body)
         )
     raise InputError(
         f"{path}: unknown atom shape {kind!r} (expected pair/tag/word/finset)"

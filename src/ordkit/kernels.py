@@ -12,7 +12,10 @@ against, in the ``repre`` suite and the tests.
 
 ``dim`` ranks by ``production_rank`` and walks ``production_witness``, and
 ``chain`` walks ``elasticity_witness``: three callers of one production
-solver.  ``transpose`` turns bitmask rows into columns for the package.
+solver.  The production kernels take the member masks alone; the solver
+decides which elements may be played (those some member holds), and the
+chain walk's solver ranks only up to the requested length.  ``transpose``
+turns bitmask rows into columns for the package.
 """
 
 from __future__ import annotations

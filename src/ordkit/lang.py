@@ -396,7 +396,9 @@ def elasticity_chain(
     from all of them.  So ``k > min(element_horizon - 1, family_horizon)``
     is answered None before any membership is read.  Otherwise a matrix of
     more than ``CHAIN_CELL_BOUND`` cells is refused, before any read; else
-    it is read once, one row per family, for ``kernels.elasticity_witness``.
+    it is read once, one row per family, for ``kernels.elasticity_witness``,
+    which ranks the covers of the walk only up to k, so a short chain in a
+    large matrix costs no more than the search for it needs.
     """
     if k < 1:
         raise InvalidQuery("chain length must be at least 1")

@@ -24,7 +24,7 @@ same system: it returns the ``(example bit, hypothesis mask)`` steps, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -65,8 +65,8 @@ def is_production_sequence(
 
 
 @lru_cache(maxsize=1 << 14)
-def _dim_cached(member_masks: tuple[int, ...], support_mask: int) -> int:
-    return kernels.production_rank(member_masks, support_mask)
+def _dim_cached(member_masks: tuple[int, ...]) -> int:
+    return kernels.production_rank(member_masks)
 
 
 def _mask_rank(masks: set[int]) -> int:
@@ -74,18 +74,14 @@ def _mask_rank(masks: set[int]) -> int:
     of their bits.
 
     The rank depends neither on which bit stands for which atom nor on the
-    order of the members, and the support a member family uses is the OR of
-    its masks; so the sorted masks with that OR key the same memo as ``dim``
+    order of the members, so the sorted masks key the same memo as ``dim``
     and give the rank of every system these masks relabel."""
-    key = tuple(sorted(masks))
-    return _dim_cached(key, reduce(int.__or__, key, 0))
+    return _dim_cached(tuple(sorted(masks)))
 
 
 def dim(system: SetSystem) -> int:
     """Rank of the production-sequence tree (0 when no member is nonempty)."""
-    _, masks = system.masks()
-    support_mask = (1 << len(system.support)) - 1
-    return _dim_cached(masks, support_mask)
+    return _dim_cached(system.masks()[1])
 
 
 def longest_production_sequence(system: SetSystem) -> ProductionSequence:
@@ -95,7 +91,7 @@ def longest_production_sequence(system: SetSystem) -> ProductionSequence:
     and atom order) that preserves the remaining rank is taken.
     """
     support, masks = system.masks()
-    steps = kernels.production_witness(masks, (1 << len(support)) - 1)
+    steps = kernels.production_witness(masks)
     return ProductionSequence(
         tuple(
             (support[t.bit_length() - 1], tuple(map(support.__getitem__, _bits(hyp))))

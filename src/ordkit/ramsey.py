@@ -185,8 +185,8 @@ def check_union_bound(*systems: SetSystem) -> BoundReport:
     The elementwise union is folded as masks through
     ``systems._pairwise_masks``, with the same refusal as ``ew_union``, and
     is never built as a system: its rank depends neither on bit labels nor
-    on member order, so it is read from the distinct masks with their OR as
-    the support mask.  A single operand is its own union.
+    on member order, so it is read from the distinct masks alone.  A single
+    operand is its own union.
     """
     if not systems:
         raise InvalidQuery("at least one system is required")

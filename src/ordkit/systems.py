@@ -185,8 +185,8 @@ def _pairwise_masks(
 
     The masks are neither compacted nor sorted, so they are the canonical
     family up to a relabelling of bits and an order of members.  Whatever
-    depends on neither, such as the production rank with the OR of the
-    masks as the support mask, can be read from them directly, and an
+    depends on neither, such as the production rank of the masks, can be
+    read from them directly, and an
     earlier result can be passed back as ``(atoms, masks)`` to fold a chain
     of operands.  More than ``MEMBER_BOUND`` member pairs are refused
     before any is built."""

@@ -164,17 +164,17 @@ class _ProductionSolverReference(_ProductionSolver):
 production_solver_reference = _ProductionSolverReference
 
 
-def solver_columns_reference(members: tuple[int, ...], support_mask: int) -> tuple[dict, tuple]:
+def solver_columns_reference(members: tuple[int, ...]) -> tuple[dict, tuple]:
     """A production solver's ``contains`` and ``columns``, by peeling every
     member bit by bit: ``contains`` in the order the elements first occur,
-    and ``columns`` as the set of the support's columns taken in that order."""
+    and ``columns`` as the set of its columns taken in that order."""
     contains: dict[int, int] = {}
     for i, m in enumerate(members):
         while m:
             t = m & -m
             m ^= t
             contains[t] = contains.get(t, 0) | 1 << i
-    return contains, tuple({c for t, c in contains.items() if t & support_mask})
+    return contains, tuple(set(contains.values()))
 
 
 def transpose_reference(rows, width: int) -> list[int]:
@@ -198,7 +198,7 @@ def bits_reference(mask: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def _extension_reference(masks, support_mask, seen, hyp, rank):
+def _extension_reference(masks, seen, hyp, rank):
     """The first example bit and member that extend a sequence with examples
     ``seen`` and last hypothesis ``hyp`` to a state of ``rank``, each state
     ranked by a full ``production_state_rank`` scan."""
@@ -209,21 +209,19 @@ def _extension_reference(masks, support_mask, seen, hyp, rank):
         while bits:
             t = bits & -bits
             bits ^= t
-            if production_state_rank(masks, support_mask, seen | t, mask) == rank:
+            if production_state_rank(masks, seen | t, mask) == rank:
                 return t, mask
     raise AssertionError("rank bookkeeping must always yield an extension")
 
 
-def production_witness_reference(
-    masks: tuple[int, ...], support_mask: int
-) -> list[tuple[int, int]]:
+def production_witness_reference(masks: tuple[int, ...]) -> list[tuple[int, int]]:
     """The ``(t, hyp)`` steps of a longest production sequence by the walk that
     ranked every candidate state from scratch: members in order, each holding
     every example so far, and bits outside the last hypothesis, ascending."""
     steps = []
     seen = hyp = 0
-    for rank in reversed(range(production_rank(masks, support_mask))):
-        t, hyp = _extension_reference(masks, support_mask, seen, hyp, rank)
+    for rank in reversed(range(production_rank(masks))):
+        t, hyp = _extension_reference(masks, seen, hyp, rank)
         seen |= t
         steps.append((t, hyp))
     return steps

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ordkit
+from ordkit.atoms import ATOM_DEPTH_BOUND
 from ordkit.checks import run_suite
 from ordkit.cli import main
 
@@ -535,6 +536,33 @@ def test_too_deeply_nested_json_exits_2(runner, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     _bad_input_exit(runner.invoke(main, ["dim", str(deep)]), f"{deep}: JSON nested too deeply")
+
+
+@pytest.mark.parametrize("shape, rest", [("pair", ["y"]), ("tag", [1]), ("finset", [])])
+def test_atoms_answer_at_the_depth_bound_and_exit_2_past_it(tmp_path, shape, rest):
+    # a fresh process, so the stack holds only the command line's own frames;
+    # op prints the result's repr even under --json, two frames per level
+    src = str(Path(ordkit.__file__).parents[1])
+    for depth in (ATOM_DEPTH_BOUND, ATOM_DEPTH_BOUND + 1):
+        atom = "x"
+        for _ in range(depth):
+            atom = {shape: [atom, *rest]}
+        path = tmp_path / f"depth-{depth}.json"
+        path.write_text(json.dumps({"universe": [atom, "z"], "sets": [[atom], [atom, "z"]]}))
+        for argv in (["--json", "op", "perp"], ["op", "bang"], ["--json", "dim", "--witness"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "ordkit.cli", *argv, str(path)],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+            )
+            if depth == ATOM_DEPTH_BOUND:
+                assert result.returncode == 0, (argv, result.stderr[-200:])
+            else:
+                where = ".universe[0]" + f".{shape}[0]" * ATOM_DEPTH_BOUND
+                assert result.returncode == 2 and result.stdout == "", argv
+                assert result.stderr.startswith("error: ")
+                assert result.stderr.endswith(
+                    f"{where}: atom nested more than {ATOM_DEPTH_BOUND} levels deep\n"
+                )
 
 
 def test_all_suites_pass_at_small_sizes():

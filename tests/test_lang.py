@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from ordkit import (
+    _kernels_py as py,
     canonical_family,
     closure_bounded,
     concat,
@@ -321,6 +322,25 @@ def test_elasticity_chains_at_64_by_64_match_the_recorded_digest():
                 rows.append([name, transform, k, None if chain is None else chain.to_json()])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _CHAIN_GRID_DIGEST
+
+
+def test_chain_walk_ranks_covers_only_up_to_the_length(monkeypatch):
+    # the complement of arith_prog at 64 x 64: uncapped, ranking the first
+    # cover filled 1,540,029 memo states before any chain of any length
+    family = family_transform("complement", canonical_family("arith_prog"), element_horizon=64)
+    solvers = []
+
+    def solver(members, cap=None):
+        solvers.append(py._ProductionSolver(members, cap))
+        return solvers[-1]
+
+    monkeypatch.setattr(py, "_solver", solver)
+    states = {}
+    for k in (1, 15):
+        chain = elasticity_chain(family, k)
+        assert validate_chain(family, chain)
+        states[k] = len(solvers[-1].memo)
+    assert states == {1: 3, 15: 23_921}
 
 
 def test_elasticity_chain_over_budget_reads_no_membership():

@@ -36,15 +36,15 @@ def small_systems():
         yield random_system(rng, rng.randint(4, 5), 7)
 
 
-def mask_args(system):
-    support, masks = system.masks()
-    return masks, (1 << len(support)) - 1
+def member_masks(system):
+    return system.masks()[1]
 
 
-def naive_state_depths(masks, support_mask):
+def naive_state_depths(masks):
     """Game-tree depth of every reachable (seen, hyp) state, from the rules."""
     members = set(masks)
-    bits = [1 << i for i in range(support_mask.bit_length()) if support_mask >> i & 1]
+    width = max(masks, default=0).bit_length()
+    bits = [1 << i for i in range(width)]
 
     def moves(seen, hyp):
         for t in bits:
@@ -68,26 +68,24 @@ def naive_state_depths(masks, support_mask):
 
 def test_production_rank_matches_naive_dim():
     for system in small_systems():
-        assert py.production_rank(*mask_args(system)) == naive_dim(system)
+        assert py.production_rank(member_masks(system)) == naive_dim(system)
 
 
 def test_production_state_rank_matches_naive_depth_at_every_reachable_state():
     for system in small_systems():
-        masks, support_mask = mask_args(system)
-        for (seen, hyp), depth in naive_state_depths(masks, support_mask).items():
-            assert py.production_state_rank(masks, support_mask, seen, hyp) == depth
+        masks = member_masks(system)
+        for (seen, hyp), depth in naive_state_depths(masks).items():
+            assert py.production_state_rank(masks, seen, hyp) == depth
 
 
 def test_production_rank_on_duplicate_and_empty_members():
-    assert py.production_rank((), 0) == 0
-    assert py.production_rank((0, 0), 0b11) == 0
-    assert py.production_rank((0b01, 0b01, 0b11), 0b11) == py.production_rank(
-        (0b01, 0b11), 0b11
-    )
+    assert py.production_rank(()) == 0
+    assert py.production_rank((0, 0)) == 0
+    assert py.production_rank((0b01, 0b01, 0b11)) == py.production_rank((0b01, 0b11))
     # masks wider than a machine word, through the entry point callers use
     wide = 1 << 80
-    assert py.production_rank((wide,), wide) == 1
-    assert kernels.production_rank((wide,), wide) == 1
+    assert py.production_rank((wide,)) == 1
+    assert kernels.production_rank((wide,)) == 1
 
 
 def powerset_system(n):
@@ -135,7 +133,7 @@ def test_witness_of_powerset_product_is_pinned():
 
 def test_witness_reuses_the_memo_dim_filled():
     system = ew_product(powerset_system(2), powerset_system(3))
-    py.production_rank(*mask_args(system))
+    py.production_rank(member_masks(system))
     misses = py._solver.cache_info().misses
     longest_production_sequence(system)
     assert py._solver.cache_info().misses == misses
@@ -144,7 +142,7 @@ def test_witness_reuses_the_memo_dim_filled():
 def test_solver_cache_stays_bounded():
     rng = random.Random(5)
     for _ in range(50):
-        py.production_rank(tuple(rng.randrange(1, 64) for _ in range(6)), 63)
+        py.production_rank(tuple(rng.randrange(1, 64) for _ in range(6)))
     info = py._solver.cache_info()
     assert info.maxsize == 8 and info.currsize <= info.maxsize
 
@@ -164,8 +162,7 @@ def ceiling_cases():
 
 def ranked(solver_class, system):
     """The rank of every opening cover of ``system``, and the memo's size after."""
-    masks, support_mask = mask_args(system)
-    solver = solver_class(tuple(dict.fromkeys(masks)), support_mask)
+    solver = solver_class(tuple(dict.fromkeys(member_masks(system))))
     return [solver.rank(c) for c in sorted(set(solver.contains.values()))], len(solver.memo)
 
 
@@ -199,13 +196,25 @@ def test_production_ceiling_memo_states_are_pinned():
     assert ranked(py._ProductionSolver, co_singletons)[1] == 113
 
 
+def test_capped_ranks_are_the_uncapped_ranks_cut_at_the_cap():
+    # the chain walk's solver; every state it ranked holds min(V(C), cap)
+    for system in ceiling_cases():
+        members = tuple(dict.fromkeys(member_masks(system)))
+        uncapped = py._ProductionSolver(members)
+        for cap in (1, 2, 3):
+            capped = py._ProductionSolver(members, cap)
+            for column in set(capped.contains.values()):
+                capped.rank(column)
+            assert all(r == min(uncapped.rank(c), cap) for c, r in capped.memo.items()), system
+
+
 def test_witness_walk_matches_the_reference_walk():
     # the kernel's walk stops a candidate's scan at the remaining rank and
     # carries the cover forward; the reference ranks every candidate in full
     for system in ceiling_cases():
-        masks, support_mask = mask_args(system)
-        want = production_witness_reference(masks, support_mask)
-        assert kernels.production_witness(masks, support_mask) == want, system
+        masks = member_masks(system)
+        want = production_witness_reference(masks)
+        assert kernels.production_witness(masks) == want, system
 
 
 def test_witness_of_the_16_antichain_up_sets_is_closed_form():
@@ -230,23 +239,21 @@ def column_cases():
         top = (1 << width) - 1
         for count in (1, 2, 7, 40):
             members = [rng.getrandbits(width) for _ in range(count)]
-            yield tuple(members), top
-            yield tuple(members + [0, top] + members[:3] + [0]), top
-            # a support that leaves some held bits out
-            yield tuple(members + [top]), rng.getrandbits(width)
-    yield (), 0
-    yield tuple(range(1 << 12)), (1 << 12) - 1
-    yield tuple(rng.getrandbits(80) for _ in range(1 << 12)), (1 << 80) - 1
-    yield tuple(range(1 << 16)), (1 << 16) - 1
+            yield tuple(members)
+            yield tuple(members + [0, top] + members[:3] + [0])
+    yield ()
+    yield tuple(range(1 << 12))
+    yield tuple(rng.getrandbits(80) for _ in range(1 << 12))
+    yield tuple(range(1 << 16))
 
 
 def test_solver_columns_match_the_bit_peeling_reference():
-    for members, support_mask in column_cases():
-        contains, columns = solver_columns_reference(members, support_mask)
+    for members in column_cases():
+        contains, columns = solver_columns_reference(members)
         # ascending, the order in which the witness walk tries examples
         assert list(py._contains(members).items()) == sorted(contains.items())
         # the same columns in the same order, so ``rank`` visits the same states
-        assert py._ProductionSolver(members, support_mask).columns == columns
+        assert py._ProductionSolver(members).columns == columns
         # every column, zero ones included, up to the highest set bit and past
         # it, within its byte and into new byte planes; the cases hold no rows,
         # all-zero rows and rows up to 80 bits wide
