@@ -13,6 +13,7 @@ of construction order.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InputError
@@ -41,6 +42,47 @@ class Atom(tuple):
             return "w'" + "".join(self[1]) + "'"
         # a direct call, like ``!r`` above, costs two stack frames per level
         return "{" + ",".join([a.__repr__() for a in self[1]]) + "}"
+
+
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass's fields are its ``__slots__``, apart from ``__dict__``,
+    which holds its cached views; its ``__init__`` sets each field once
+    through ``object.__setattr__``.  Two values of one class are equal when
+    their fields are, a value hashes as its fields, and its repr is
+    ``Name(field=value, ...)``.  Assigning or deleting a field raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        # the fields of a value, read in C: a tuple, or the value of a lone field
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def leaf(token: str) -> Atom:

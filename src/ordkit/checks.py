@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import kernels
@@ -97,15 +96,28 @@ from .traces import (
 )
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    properties: tuple[str, ...]
-    seed: int
-    trials: int
-    failures: list[dict] = field(default_factory=list)
-    ms: float = 0.0
-    info: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        suite: str,
+        properties: tuple[str, ...],
+        seed: int,
+        trials: int,
+        failures: Optional[list[dict]] = None,
+        ms: float = 0.0,
+        info: Optional[dict] = None,
+    ):
+        self.suite = suite
+        self.properties = properties
+        self.seed = seed
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.ms = ms
+        self.info = {} if info is None else info
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"CheckReport({fields})"
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import checks as checks_mod
 from . import kernels
 from .atoms import atom_from_json, atom_to_json
 from .errors import InvalidQuery, OrdkitError
@@ -65,8 +64,10 @@ def _load(path: str):
         raise OrdkitError(f"{path}: JSON nested too deeply to parse")
 
 
-def _emit(args, payload, human: str):
-    print(json.dumps(payload, sort_keys=True) if args.json else human)
+def _emit(args, payload, text):
+    """Print ``payload`` as JSON under ``--json``, else the string ``text()``,
+    which is built only then."""
+    print(json.dumps(payload, sort_keys=True) if args.json else text())
 
 
 def _check_limits(trials, max_size):
@@ -134,22 +135,25 @@ def dim_cmd(args):
         )
     value = dim(system)
     payload = {"dim": value}
-    lines = [str(value)]
+    steps = ()
     if args.witness:
-        seq = longest_production_sequence(system)
+        steps = longest_production_sequence(system).steps
         payload["witness"] = [
             {"example": atom_to_json(t), "hypothesis": [atom_to_json(a) for a in h]}
-            for t, h in seq.steps
+            for t, h in steps
         ]
-        lines += [f"  {t!r} -> {list(h)!r}" for t, h in seq.steps]
-    _emit(args, payload, "\n".join(lines))
+    _emit(
+        args,
+        payload,
+        lambda: "\n".join([str(value)] + [f"  {t!r} -> {list(h)!r}" for t, h in steps]),
+    )
 
 
 @_command("otp", _arg("qo_file", metavar="QO_FILE"))
 def otp_cmd(args):
     """Order type of the quasi-order in QO_FILE."""
     value = otp(qo_from_json(_load(args.qo_file), strict=args.strict))
-    _emit(args, {"otp": value}, str(value))
+    _emit(args, {"otp": value}, lambda: str(value))
 
 
 @_command("ss", _arg("qo_file", metavar="QO_FILE"))
@@ -157,7 +161,7 @@ def ss_cmd(args):
     """System of upward-closed subsets of the quasi-order."""
     qo = qo_from_json(_load(args.qo_file), strict=args.strict)
     system = ss(qo)
-    _emit(args, system.to_json(), repr(system))
+    _emit(args, system.to_json(), lambda: repr(system))
 
 
 @_command("qo", _arg("system_file", metavar="SYSTEM_FILE"))
@@ -165,7 +169,7 @@ def qo_cmd(args):
     """Quasi-order induced by the set system."""
     system = system_from_json(_load(args.system_file))
     q = qo_of(system)
-    _emit(args, q.to_json(), repr(q))
+    _emit(args, q.to_json(), lambda: repr(q))
 
 
 _OPS = {
@@ -192,7 +196,7 @@ def op_cmd(args):
         raise InvalidQuery(f"op {kind} takes {lo if hi == lo else f'{lo}+'} operands")
     systems = [system_from_json(_load(f), path=f) for f in system_files]
     result = fn(*systems)
-    _emit(args, result.to_json(), repr(result))
+    _emit(args, result.to_json(), lambda: repr(result))
 
 
 @_command(
@@ -212,21 +216,21 @@ def trace_cmd(args):
             raise InvalidQuery(f"{files[1]}: expected a JSON list of atoms")
         g = [atom_from_json(a, f"{files[1]}$[{i}]") for i, a in enumerate(raw)]
         out = sorted(trace_apply(trace, g))
-        _emit(args, [atom_to_json(a) for a in out], repr(out))
+        _emit(args, [atom_to_json(a) for a in out], lambda: repr(out))
     elif kind == "image":
         if len(files) != 2:
             raise InvalidQuery("trace image takes TRACE_FILE SYSTEM_FILE")
         trace = trace_from_json(_load(files[0]), path=files[0])
         system = system_from_json(_load(files[1]), path=files[1])
         result = direct_image(trace, system)
-        _emit(args, result.to_json(), repr(result))
+        _emit(args, result.to_json(), lambda: repr(result))
     elif kind == "compose":
         if len(files) != 2:
             raise InvalidQuery("trace compose takes OUTER_FILE INNER_FILE")
         outer = trace_from_json(_load(files[0]), path=files[0])
         inner = trace_from_json(_load(files[1]), path=files[1])
         result = compose(outer, inner)
-        _emit(args, result.to_json(), repr(result))
+        _emit(args, result.to_json(), lambda: repr(result))
     else:
         if len(files) != 1:
             raise InvalidQuery("trace classify takes TRACE_FILE")
@@ -239,7 +243,7 @@ def trace_cmd(args):
         _emit(
             args,
             payload,
-            f"linear={payload['linear']} sequential={payload['sequential']} "
+            lambda: f"linear={payload['linear']} sequential={payload['sequential']} "
             f"branching={payload['branching_degree']}",
         )
 
@@ -254,10 +258,10 @@ def ramsey_cmd(args):
     kind, numbers = args.kind, args.numbers
     if kind == "bound":
         value = ram_upper(numbers)
-        _emit(args, {"upper": value}, str(value))
+        _emit(args, {"upper": value}, lambda: str(value))
     elif kind == "exact":
         value = ram_exact(numbers)
-        _emit(args, {"exact": value}, "unknown" if value is None else str(value))
+        _emit(args, {"exact": value}, lambda: "unknown" if value is None else str(value))
     else:
         if len(numbers) != 3:
             raise InvalidQuery("ramsey verify takes L1 L2 N")
@@ -267,8 +271,11 @@ def ramsey_cmd(args):
             payload["witness"] = [
                 {"edge": list(e), "color": c} for e, c in result.witness
             ]
-        human = "holds" if result.holds_at_n else "fails (witness coloring found)"
-        _emit(args, payload, human)
+        _emit(
+            args,
+            payload,
+            lambda: "holds" if result.holds_at_n else "fails (witness coloring found)",
+        )
 
 
 @_command(
@@ -297,8 +304,11 @@ def lang_cmd(args):
         bound = frags[0].max_len if max_len is None else max_len
         closure_kind = {"star": "star", "plus": "plus", "closure": "shuffle_closure"}[kind]
         result = closure_bounded(frags[0], closure_kind, bound)
-    words = " ".join(w if w else "ε" for w in sorted(result.words))
-    _emit(args, result.to_json(), words or "(empty)")
+    _emit(
+        args,
+        result.to_json(),
+        lambda: " ".join(w if w else "ε" for w in sorted(result.words)) or "(empty)",
+    )
 
 
 @_command(
@@ -315,16 +325,34 @@ def chain_cmd(args):
         fam, args.length, element_horizon=args.element_horizon, family_horizon=args.family_horizon
     )
     if chain is None:
-        _emit(args, {"found": False}, "none found within the horizons")
+        _emit(args, {"found": False}, lambda: "none found within the horizons")
         return
     assert validate_chain(fam, chain)
-    text = f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}"
-    _emit(args, {"found": True, **chain.to_json()}, text)
+    _emit(
+        args,
+        {"found": True, **chain.to_json()},
+        lambda: f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}",
+    )
+
+
+class _SuiteNames:
+    """The ``check`` suite names and ``all``, for argparse's ``choices``.
+
+    ``ordkit.checks`` is imported only when argparse reads them, to check
+    a suite name or to print usage, so no other command loads the suites.
+    """
+
+    def __iter__(self):
+        from . import checks
+
+        return iter(sorted(checks.SUITES) + ["all"])
+
+    def __contains__(self, name):
+        return name in list(self)
 
 
 @_command(
     "check",
-    _arg("suite", choices=sorted(checks_mod.SUITES) + ["all"]),
     _arg("--seed", type=int, default=argparse.SUPPRESS, help="override the global seed"),
     _arg("--trials", type=int, default=argparse.SUPPRESS, help="override the global trials"),
     _arg("--max-size", type=int, default=argparse.SUPPRESS,
@@ -332,7 +360,9 @@ def chain_cmd(args):
 )
 def check_cmd(args):
     """Run a theorem-check suite; exit 1 when any property fails."""
-    reports = checks_mod.run_suite(
+    from . import checks
+
+    reports = checks.run_suite(
         args.suite, seed=args.seed, trials=args.trials, max_size=args.max_size
     )
     if args.json:
@@ -348,10 +378,15 @@ def check_cmd(args):
     return 1 if any(not r.ok for r in reports) else None
 
 
+# set after add_argument, whose metavar check would read the names; the one
+# positional argument is listed after the options in usage and help alike
+_COMMANDS.choices["check"].add_argument("suite").choices = _SuiteNames()
+
+
 @_command("info")
 def info_cmd(args):
     """Kernel lane in use."""
-    _emit(args, {"backend": kernels.BACKEND}, f"backend: {kernels.BACKEND}")
+    _emit(args, {"backend": kernels.BACKEND}, lambda: f"backend: {kernels.BACKEND}")
 
 
 def main(args=None, standalone_mode=True):

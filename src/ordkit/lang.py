@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import kernels
 from .atoms import word
@@ -47,8 +46,7 @@ LANG_WORD_BOUND = 1 << 13
 CHAIN_CELL_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
-class LanguageFragment:
+class LanguageFragment(NamedTuple):
     alphabet: frozenset[str]
     max_len: int
     words: frozenset[Word]
@@ -291,8 +289,7 @@ def to_set_system(fragments: Iterable[LanguageFragment]) -> SetSystem:
     return mk_system(universe, members)
 
 
-@dataclass(frozen=True)
-class LazyFamily:
+class LazyFamily(NamedTuple):
     """An indexed family over the naturals, given by its membership predicate.
 
     ``member_index(i, n)`` tells whether the natural ``n`` belongs to the
@@ -356,8 +353,7 @@ def family_transform(
     raise UnknownFamily(f"no transform named {kind!r}")
 
 
-@dataclass(frozen=True)
-class ElasticityChain:
+class ElasticityChain(NamedTuple):
     elements: tuple[int, ...]  # t_0 .. t_k
     families: tuple[int, ...]  # i_1 .. i_k
 

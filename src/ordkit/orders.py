@@ -23,12 +23,11 @@ and ``mk_simulation`` builds a simulation from atom pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 from . import kernels
-from .atoms import Atom, atom_from_json, atom_to_json, leaf
+from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, leaf
 from .errors import (
     CarrierMismatch,
     InputError,
@@ -43,10 +42,14 @@ SS_ELEMENT_BOUND = 20
 LINEARIZATION_BOUND = 8
 
 
-@dataclass(frozen=True)
-class QuasiOrder:
+class QuasiOrder(_Frozen):
+    __slots__ = ("elements", "up", "__dict__")
     elements: tuple[Atom, ...]
     up: tuple[int, ...]  # up[i] bit j set <=> elements[i] <= elements[j]
+
+    def __init__(self, elements, up):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "up", up)
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -270,11 +273,16 @@ def is_coatomic_lattice(system: SetSystem) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Simulation:
+class Simulation(_Frozen):
+    __slots__ = ("source", "target", "rows", "__dict__")
     source: QuasiOrder
     target: QuasiOrder
     rows: tuple[int, ...]  # rows[i] bit j set <=> source i is related to target j
+
+    def __init__(self, source, target, rows):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def pairs(self) -> frozenset[tuple[Atom, Atom]]:

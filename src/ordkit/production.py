@@ -23,19 +23,21 @@ same system: it returns the ``(example bit, hypothesis mask)`` steps, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import kernels
-from .atoms import Atom
+from .atoms import Atom, _Frozen
 from .errors import HypothesisNotInSystem
 from .systems import SetSystem, _bits
 
 
-@dataclass(frozen=True)
-class ProductionSequence:
+class ProductionSequence(_Frozen):
+    __slots__ = ("steps",)
     steps: tuple[tuple[Atom, tuple[Atom, ...]], ...]
+
+    def __init__(self, steps):
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self):
         return len(self.steps)

@@ -10,7 +10,6 @@ never unverified literature numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -107,8 +106,7 @@ def ram_exact(sizes) -> Optional[int]:
     return entry[0] if entry else None
 
 
-@dataclass(frozen=True)
-class RamseyVerification:
+class RamseyVerification(NamedTuple):
     holds_at_n: bool
     witness: Optional[tuple[tuple[tuple[int, int], str], ...]]
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .atoms import Atom
 
 
-@dataclass(frozen=True)
-class SdrProblem:
+class SdrProblem(NamedTuple):
     blocks: tuple[frozenset[Atom], ...]
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence
 
 from . import kernels
-from .atoms import FINSET, Atom, atom_from_json, atom_to_json, finset, pair, tagged
+from .atoms import FINSET, Atom, _Frozen, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
     DuplicateUniverseElement,
     ElementOutsideUniverse,
@@ -78,11 +77,16 @@ def _remap(mask: int, table) -> int:
     return sum(table[i] for i in _bits(mask))
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(_Frozen):
+    __slots__ = ("universe", "support", "member_masks", "__dict__")
     universe: tuple[Atom, ...]
     support: tuple[Atom, ...]
     member_masks: tuple[int, ...]
+
+    def __init__(self, universe, support, member_masks):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "member_masks", member_masks)
 
     @cached_property
     def members(self) -> tuple[tuple[Atom, ...], ...]:
@@ -277,27 +281,35 @@ def bang(system: SetSystem) -> SetSystem:
     list spells its finset as it stands, and the finsets' atom order is the
     index order of their submasks: the universe is built in that order, and
     a member is the numeral whose digit at a submask's position is 1 when
-    the submask lies inside it.  A support over ``BANG_SUPPORT_BOUND`` is
-    refused before anything is built.
+    the submask lies inside it.  Only the submasks some member holds are
+    kept, in C, as the result's support, so ``_canonical`` has no bits to
+    remap.  A support over ``BANG_SUPPORT_BOUND`` is refused before
+    anything is built.
     """
     support = system.support
     if len(support) > BANG_SUPPORT_BOUND:
         raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND, "support")
     order = sorted(range(1 << len(support)), key=_index_order)
-    atoms = tuple(Atom((FINSET, tuple(map(support.__getitem__, _bits(s))))) for s in order)
+    universe = tuple(Atom((FINSET, tuple(map(support.__getitem__, _bits(s))))) for s in order)
     # digit[s]: the place of submask s in a numeral written most significant first
     digit = [0] * len(order)
     for place, s in enumerate(reversed(order)):
         digit[s] = place
-    members = []
+    numerals = []
     for m in system.member_masks:
         # the empty submask is atom 0, the last digit; the loop adds the others
         numeral, s = bytearray(b"0" * (len(order) - 1) + b"1"), m
         while s:
             numeral[digit[s]] = 49  # the digit "1"
             s = (s - 1) & m
-        members.append(int(numeral, 2))
-    return _canonical(atoms, atoms, members)
+        numerals.append(int(numeral, 2))
+    # held[i]: some member holds the submask order[i]; keep only those digits
+    held = bin(reduce(int.__or__, numerals, 0))[:1:-1].encode().translate(_DIGIT_VALUES)
+    atoms = tuple(itertools.compress(universe, held))
+    members = [
+        int(bytes(itertools.compress(bin(n)[:1:-1].encode(), held))[::-1], 2) for n in numerals
+    ]
+    return _canonical(universe, atoms, members)
 
 
 def perp(system: SetSystem) -> SetSystem:

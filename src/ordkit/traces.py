@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
-from .atoms import Atom, atom_from_json, atom_to_json, finset, pair, tagged
+from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, finset, pair, tagged
 from .errors import (
     ElementOutsideField,
     EmptyOperandList,
@@ -48,11 +47,16 @@ from .systems import (
 COMPOSE_OPTION_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Frozen):
+    __slots__ = ("source_field", "target_field", "options", "__dict__")
     source_field: tuple[Atom, ...]
     target_field: tuple[Atom, ...]
     options: tuple[tuple[int, ...], ...]
+
+    def __init__(self, source_field, target_field, options):
+        object.__setattr__(self, "source_field", source_field)
+        object.__setattr__(self, "target_field", target_field)
+        object.__setattr__(self, "options", options)
 
     @cached_property
     def _bit(self) -> dict[Atom, int]:

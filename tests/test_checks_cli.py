@@ -668,3 +668,38 @@ def test_help_shows_the_defaults(runner):
     result = runner.invoke(main, ["dim", "--help"])
     assert result.exit_code == 0
     assert "(default: 16)" in result.stdout
+
+
+def test_importing_the_command_line_loads_no_suites_and_no_dataclasses():
+    # a fresh process: this test process has imported the suites already
+    src = str(Path(ordkit.__file__).parents[1])
+    code = (
+        "import json, sys; before = set(sys.modules); import ordkit, ordkit.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(result.stdout))
+    assert "ordkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ordkit.checks", "ordkit.generators"}
+
+
+def test_an_unknown_suite_lists_every_suite_and_exits_2():
+    src = str(Path(ordkit.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ordkit.cli", "check", "nosuch"],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "usage: ordkit check [-h] [--seed SEED] [--trials TRIALS] [--max-size MAX_SIZE]\n"
+        "                    [--json]\n"
+        "                    {coatomic,dim-bounds,functor-laws,image-ramsey,paper-fixtures,"
+        "qo-roundtrip,repre,shuffle-identities,trace-laws,union-ramsey,wqo-ramsey,all}\n"
+        "ordkit check: error: argument suite: invalid choice: 'nosuch' (choose from "
+        "'coatomic', 'dim-bounds', 'functor-laws', 'image-ramsey', 'paper-fixtures', "
+        "'qo-roundtrip', 'repre', 'shuffle-identities', 'trace-laws', 'union-ramsey', "
+        "'wqo-ramsey', 'all')\n"
+    )

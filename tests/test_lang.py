@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +7,7 @@ import tracemalloc
 import pytest
 
 from ordkit import (
+    LazyFamily,
     _kernels_py as py,
     canonical_family,
     closure_bounded,
@@ -280,7 +280,7 @@ def test_elasticity_chain_answers_impossible_lengths_without_search():
         calls.append((i, n))
         return dcl.member_index(i, n)
 
-    counted = dataclasses.replace(dcl, member_index=member_index)
+    counted = LazyFamily(dcl.description, member_index)
     # length k needs k + 1 distinct elements and k distinct families
     assert elasticity_chain(counted, 64) is None
     assert elasticity_chain(counted, 62, element_horizon=62) is None
@@ -351,7 +351,7 @@ def test_elasticity_chain_over_budget_reads_no_membership():
         calls.append((i, n))
         return dcl.member_index(i, n)
 
-    counted = dataclasses.replace(dcl, member_index=member_index)
+    counted = LazyFamily(dcl.description, member_index)
     assert CHAIN_CELL_BOUND == 65536
     with pytest.raises(UniverseTooLarge, match="65537 cells, limit is 65536"):
         elasticity_chain(counted, 1, element_horizon=65537, family_horizon=1)
