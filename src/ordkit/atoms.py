@@ -170,3 +170,10 @@ def atom_from_json(obj, path: str = "$", depth: int = 0) -> Atom:
     raise InputError(
         f"{path}: unknown atom shape {kind!r} (expected pair/tag/word/finset)"
     )
+
+
+def atoms_from_json(items, path: str) -> list[Atom]:
+    """The atoms of the JSON list ``items``, item ``i`` read at ``<path>[i]``."""
+    if not isinstance(items, list):
+        raise InputError(f"{path}: expected a list of atoms")
+    return [atom_from_json(a, f"{path}[{i}]") for i, a in enumerate(items)]

@@ -65,9 +65,9 @@ def _load(path: str):
 
 
 def _emit(args, payload, text):
-    """Print ``payload`` as JSON under ``--json``, else the string ``text()``,
-    which is built only then."""
-    print(json.dumps(payload, sort_keys=True) if args.json else text())
+    """Print ``payload()`` as JSON under ``--json``, else the string ``text()``;
+    only the form printed is built."""
+    print(json.dumps(payload(), sort_keys=True) if args.json else text())
 
 
 def _check_limits(trials, max_size):
@@ -134,14 +134,17 @@ def dim_cmd(args):
             f"support has {len(system.support)} elements; raise --max-universe"
         )
     value = dim(system)
-    payload = {"dim": value}
-    steps = ()
-    if args.witness:
-        steps = longest_production_sequence(system).steps
-        payload["witness"] = [
-            {"example": atom_to_json(t), "hypothesis": [atom_to_json(a) for a in h]}
-            for t, h in steps
-        ]
+    steps = longest_production_sequence(system).steps if args.witness else ()
+
+    def payload():
+        out = {"dim": value}
+        if args.witness:
+            out["witness"] = [
+                {"example": atom_to_json(t), "hypothesis": [atom_to_json(a) for a in h]}
+                for t, h in steps
+            ]
+        return out
+
     _emit(
         args,
         payload,
@@ -153,7 +156,7 @@ def dim_cmd(args):
 def otp_cmd(args):
     """Order type of the quasi-order in QO_FILE."""
     value = otp(qo_from_json(_load(args.qo_file), strict=args.strict))
-    _emit(args, {"otp": value}, lambda: str(value))
+    _emit(args, lambda: {"otp": value}, lambda: str(value))
 
 
 @_command("ss", _arg("qo_file", metavar="QO_FILE"))
@@ -161,7 +164,7 @@ def ss_cmd(args):
     """System of upward-closed subsets of the quasi-order."""
     qo = qo_from_json(_load(args.qo_file), strict=args.strict)
     system = ss(qo)
-    _emit(args, system.to_json(), lambda: repr(system))
+    _emit(args, system.to_json, lambda: repr(system))
 
 
 @_command("qo", _arg("system_file", metavar="SYSTEM_FILE"))
@@ -169,13 +172,13 @@ def qo_cmd(args):
     """Quasi-order induced by the set system."""
     system = system_from_json(_load(args.system_file))
     q = qo_of(system)
-    _emit(args, q.to_json(), lambda: repr(q))
+    _emit(args, q.to_json, lambda: repr(q))
 
 
 _OPS = {
-    "union": (2, 2, lambda a, b: ew_union(a, b)),
-    "intersect": (2, 2, lambda a, b: ew_intersect(a, b)),
-    "product": (2, 2, lambda a, b: ew_product(a, b)),
+    "union": (2, 2, ew_union),
+    "intersect": (2, 2, ew_intersect),
+    "product": (2, 2, ew_product),
     "disjoint": (1, None, ew_disjoint),
     "tagged": (1, None, tagged_union),
     "bang": (1, 1, bang),
@@ -196,45 +199,39 @@ def op_cmd(args):
         raise InvalidQuery(f"op {kind} takes {lo if hi == lo else f'{lo}+'} operands")
     systems = [system_from_json(_load(f), path=f) for f in system_files]
     result = fn(*systems)
-    _emit(args, result.to_json(), lambda: repr(result))
+    _emit(args, result.to_json, lambda: repr(result))
+
+
+# each trace kind, in the order of the usage line, and the operands it takes;
+# the first is always a trace file
+_TRACE_OPERANDS = {
+    "apply": "TRACE_FILE SET_FILE",
+    "image": "TRACE_FILE SYSTEM_FILE",
+    "compose": "OUTER_FILE INNER_FILE",
+    "classify": "TRACE_FILE",
+}
 
 
 @_command(
     "trace",
-    _arg("kind", choices=["apply", "image", "compose", "classify"]),
+    _arg("kind", choices=list(_TRACE_OPERANDS)),
     _arg("files", nargs="+", metavar="FILE"),
 )
 def trace_cmd(args):
     """Evaluate, image, compose or classify traces."""
     kind, files = args.kind, args.files
+    operands = _TRACE_OPERANDS[kind]
+    if len(files) != len(operands.split()):
+        raise InvalidQuery(f"trace {kind} takes {operands}")
+    trace = trace_from_json(_load(files[0]), path=files[0])
     if kind == "apply":
-        if len(files) != 2:
-            raise InvalidQuery("trace apply takes TRACE_FILE SET_FILE")
-        trace = trace_from_json(_load(files[0]), path=files[0])
         raw = _load(files[1])
         if not isinstance(raw, list):
             raise InvalidQuery(f"{files[1]}: expected a JSON list of atoms")
         g = [atom_from_json(a, f"{files[1]}$[{i}]") for i, a in enumerate(raw)]
         out = sorted(trace_apply(trace, g))
-        _emit(args, [atom_to_json(a) for a in out], lambda: repr(out))
-    elif kind == "image":
-        if len(files) != 2:
-            raise InvalidQuery("trace image takes TRACE_FILE SYSTEM_FILE")
-        trace = trace_from_json(_load(files[0]), path=files[0])
-        system = system_from_json(_load(files[1]), path=files[1])
-        result = direct_image(trace, system)
-        _emit(args, result.to_json(), lambda: repr(result))
-    elif kind == "compose":
-        if len(files) != 2:
-            raise InvalidQuery("trace compose takes OUTER_FILE INNER_FILE")
-        outer = trace_from_json(_load(files[0]), path=files[0])
-        inner = trace_from_json(_load(files[1]), path=files[1])
-        result = compose(outer, inner)
-        _emit(args, result.to_json(), lambda: repr(result))
-    else:
-        if len(files) != 1:
-            raise InvalidQuery("trace classify takes TRACE_FILE")
-        trace = trace_from_json(_load(files[0]), path=files[0])
+        _emit(args, lambda: [atom_to_json(a) for a in out], lambda: repr(out))
+    elif kind == "classify":
         payload = {
             "linear": is_linear(trace),
             "sequential": is_sequential(trace),
@@ -242,10 +239,16 @@ def trace_cmd(args):
         }
         _emit(
             args,
-            payload,
+            lambda: payload,
             lambda: f"linear={payload['linear']} sequential={payload['sequential']} "
             f"branching={payload['branching_degree']}",
         )
+    else:
+        if kind == "image":
+            result = direct_image(trace, system_from_json(_load(files[1]), path=files[1]))
+        else:
+            result = compose(trace, trace_from_json(_load(files[1]), path=files[1]))
+        _emit(args, result.to_json, lambda: repr(result))
 
 
 @_command(
@@ -258,19 +261,23 @@ def ramsey_cmd(args):
     kind, numbers = args.kind, args.numbers
     if kind == "bound":
         value = ram_upper(numbers)
-        _emit(args, {"upper": value}, lambda: str(value))
+        _emit(args, lambda: {"upper": value}, lambda: str(value))
     elif kind == "exact":
         value = ram_exact(numbers)
-        _emit(args, {"exact": value}, lambda: "unknown" if value is None else str(value))
+        _emit(
+            args, lambda: {"exact": value}, lambda: "unknown" if value is None else str(value)
+        )
     else:
         if len(numbers) != 3:
             raise InvalidQuery("ramsey verify takes L1 L2 N")
         result = ram_verify(*numbers)
-        payload = {"holds_at_n": result.holds_at_n}
-        if result.witness is not None:
-            payload["witness"] = [
-                {"edge": list(e), "color": c} for e, c in result.witness
-            ]
+
+        def payload():
+            out = {"holds_at_n": result.holds_at_n}
+            if result.witness is not None:
+                out["witness"] = [{"edge": list(e), "color": c} for e, c in result.witness]
+            return out
+
         _emit(
             args,
             payload,
@@ -290,23 +297,20 @@ def lang_cmd(args):
     if max_len is not None and kind in ("shuffle", "half"):
         raise InvalidQuery(f"--max-len applies to star, plus and closure, not to {kind}")
     frags = [fragment_from_json(_load(f), path=f) for f in args.files]
+    count, operands = (2, "two fragment files") if kind == "shuffle" else (1, "one fragment file")
+    if len(frags) != count:
+        raise InvalidQuery(f"lang {kind} takes {operands}")
     if kind == "shuffle":
-        if len(frags) != 2:
-            raise InvalidQuery("lang shuffle takes two fragment files")
         result = shuffle_product(frags[0], frags[1])
     elif kind == "half":
-        if len(frags) != 1:
-            raise InvalidQuery("lang half takes one fragment file")
         result = half(frags[0])
     else:
-        if len(frags) != 1:
-            raise InvalidQuery(f"lang {kind} takes one fragment file")
         bound = frags[0].max_len if max_len is None else max_len
         closure_kind = {"star": "star", "plus": "plus", "closure": "shuffle_closure"}[kind]
         result = closure_bounded(frags[0], closure_kind, bound)
     _emit(
         args,
-        result.to_json(),
+        result.to_json,
         lambda: " ".join(w if w else "ε" for w in sorted(result.words)) or "(empty)",
     )
 
@@ -325,12 +329,12 @@ def chain_cmd(args):
         fam, args.length, element_horizon=args.element_horizon, family_horizon=args.family_horizon
     )
     if chain is None:
-        _emit(args, {"found": False}, lambda: "none found within the horizons")
+        _emit(args, lambda: {"found": False}, lambda: "none found within the horizons")
         return
     assert validate_chain(fam, chain)
     _emit(
         args,
-        {"found": True, **chain.to_json()},
+        lambda: {"found": True, **chain.to_json()},
         lambda: f"elements: {list(chain.elements)}\nfamilies: {list(chain.families)}",
     )
 
@@ -386,7 +390,7 @@ _COMMANDS.choices["check"].add_argument("suite").choices = _SuiteNames()
 @_command("info")
 def info_cmd(args):
     """Kernel lane in use."""
-    _emit(args, {"backend": kernels.BACKEND}, lambda: f"backend: {kernels.BACKEND}")
+    _emit(args, lambda: {"backend": kernels.BACKEND}, lambda: f"backend: {kernels.BACKEND}")
 
 
 def main(args=None, standalone_mode=True):

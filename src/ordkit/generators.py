@@ -16,6 +16,8 @@ from .systems import SetSystem, _bits, _canonical, _remap
 from .traces import Trace, mk_trace
 
 DIGITS = tuple(leaf(str(i)) for i in range(10))
+# random_trace draws up to this many option sets per source element
+TRACE_OPTION_BOUND = 2
 
 
 def nat_atoms(n: int) -> tuple[Atom, ...]:
@@ -125,13 +127,12 @@ def random_trace(
     rng: random.Random,
     source: tuple[Atom, ...],
     target: tuple[Atom, ...],
-    max_options: int = 2,
     allow_empty_options: bool = True,
 ) -> Trace:
     lo = 0 if allow_empty_options else 1
     pairs = []
     for x in source:
-        for _ in range(rng.randint(0, max_options)):
+        for _ in range(rng.randint(0, TRACE_OPTION_BOUND)):
             if len(target) < lo:
                 continue
             size = rng.randint(lo, len(target))

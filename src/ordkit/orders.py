@@ -27,7 +27,7 @@ from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 from . import kernels
-from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, leaf
+from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, atoms_from_json, leaf
 from .errors import (
     CarrierMismatch,
     InputError,
@@ -40,6 +40,14 @@ from .systems import MEMBER_BOUND, SetSystem, _bits, _canonical
 
 SS_ELEMENT_BOUND = 20
 LINEARIZATION_BOUND = 8
+
+
+def _index(index: dict[Atom, int], atom: Atom) -> int:
+    """The position of ``atom`` in a carrier's ``index``; ``UnknownElement`` if it has none."""
+    i = index.get(atom)
+    if i is None:
+        raise UnknownElement(atom)
+    return i
 
 
 class QuasiOrder(_Frozen):
@@ -56,13 +64,7 @@ class QuasiOrder(_Frozen):
         return {a: i for i, a in enumerate(self.elements)}
 
     def le(self, x: Atom, y: Atom) -> bool:
-        ix = self.index.get(x)
-        iy = self.index.get(y)
-        if ix is None:
-            raise UnknownElement(x)
-        if iy is None:
-            raise UnknownElement(y)
-        return bool(self.up[ix] >> iy & 1)
+        return bool(self.up[_index(self.index, x)] >> _index(self.index, y) & 1)
 
     def pairs(self) -> Iterator[tuple[Atom, Atom]]:
         for i, row in enumerate(self.up):
@@ -104,11 +106,7 @@ def mk_qo(
     index = {a: i for i, a in enumerate(elems)}
     given = [0] * len(elems)
     for x, y in pairs:
-        if x not in index:
-            raise UnknownElement(x)
-        if y not in index:
-            raise UnknownElement(y)
-        given[index[x]] |= 1 << index[y]
+        given[_index(index, x)] |= 1 << _index(index, y)
     closed = _closure(given, len(elems))
     if strict:
         for i in range(len(elems)):
@@ -135,12 +133,7 @@ def qo_from_json(obj, path: str = "$", strict: bool = False) -> QuasiOrder:
     for i, p in enumerate(obj["le"]):
         if not isinstance(p, list) or len(p) != 2:
             raise InputError(f"{path}.le[{i}]: expected a pair [x, y]")
-        rel.append(
-            (
-                atom_from_json(p[0], f"{path}.le[{i}][0]"),
-                atom_from_json(p[1], f"{path}.le[{i}][1]"),
-            )
-        )
+        rel.append(atoms_from_json(p, f"{path}.le[{i}]"))
     try:
         return mk_qo(elems, rel, strict=strict)
     except UnknownElement as exc:
@@ -149,12 +142,7 @@ def qo_from_json(obj, path: str = "$", strict: bool = False) -> QuasiOrder:
 
 def is_bad_sequence(qo: QuasiOrder, seq: Iterable[Atom]) -> bool:
     """True iff no earlier element is below a later one."""
-    idx = []
-    for a in seq:
-        i = qo.index.get(a)
-        if i is None:
-            raise UnknownElement(a)
-        idx.append(i)
+    idx = [_index(qo.index, a) for a in seq]
     for i in range(len(idx)):
         for j in range(i + 1, len(idx)):
             if qo.up[idx[i]] >> idx[j] & 1:
@@ -176,14 +164,11 @@ def upset(atoms: Iterable[Atom], qo: QuasiOrder) -> tuple[Atom, ...]:
     """Upward closure of a subset of the carrier."""
     bits = 0
     for a in atoms:
-        i = qo.index.get(a)
-        if i is None:
-            raise UnknownElement(a)
-        bits |= qo.up[i]
+        bits |= qo.up[_index(qo.index, a)]
     return tuple(a for i, a in enumerate(qo.elements) if bits >> i & 1)
 
 
-def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
+def ss(qo: QuasiOrder) -> SetSystem:
     """The system of all upward-closed subsets (bounded).
 
     A binary search tree decides the elements lowest index first: putting
@@ -195,8 +180,8 @@ def ss(qo: QuasiOrder, max_elements: int = SS_ELEMENT_BOUND) -> SetSystem:
     the walk reaches the next one, before any system is built.
     """
     n = len(qo.elements)
-    if n > max_elements:
-        raise UniverseTooLarge(n, max_elements)
+    if n > SS_ELEMENT_BOUND:
+        raise UniverseTooLarge(n, SS_ELEMENT_BOUND)
     up = qo.up
     down = kernels.transpose(up, n)
     full = (1 << n) - 1
@@ -296,12 +281,7 @@ def mk_simulation(
     """The relation given by atom pairs; an atom outside its carrier raises ``UnknownElement``."""
     rows = [0] * len(source.elements)
     for x, y in pairs:
-        i, j = source.index.get(x), target.index.get(y)
-        if i is None:
-            raise UnknownElement(x)
-        if j is None:
-            raise UnknownElement(y)
-        rows[i] |= 1 << j
+        rows[_index(source.index, x)] |= 1 << _index(target.index, y)
     return Simulation(source, target, tuple(rows))
 
 
@@ -343,9 +323,7 @@ def _chain(n: int) -> QuasiOrder:
     return QuasiOrder(elems, up)
 
 
-def linearizations(
-    qo: QuasiOrder, max_elements: int = LINEARIZATION_BOUND
-) -> list[tuple[QuasiOrder, Simulation]]:
+def linearizations(qo: QuasiOrder) -> list[tuple[QuasiOrder, Simulation]]:
     """All surjections onto canonical chains that preserve the order.
 
     Each result is the chain target plus the graph of the mapping as a
@@ -355,8 +333,8 @@ def linearizations(
     outside it below an element in it.
     """
     n = len(qo.elements)
-    if n > max_elements:
-        raise UniverseTooLarge(n, max_elements)
+    if n > LINEARIZATION_BOUND:
+        raise UniverseTooLarge(n, LINEARIZATION_BOUND)
     up = qo.up
     results: list[tuple[QuasiOrder, Simulation]] = []
 

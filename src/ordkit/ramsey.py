@@ -167,14 +167,7 @@ class BoundReport(NamedTuple):
     detail: dict
 
     def to_json(self):
-        return {
-            "property": self.property,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rhs_kind": self.rhs_kind,
-            "holds": self.holds,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 def check_union_bound(*systems: SetSystem) -> BoundReport:

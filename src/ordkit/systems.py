@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from typing import Collection, Iterable, Sequence
 
 from . import kernels
-from .atoms import FINSET, Atom, _Frozen, atom_from_json, atom_to_json, finset, pair, tagged
+from .atoms import FINSET, Atom, _Frozen, atom_to_json, atoms_from_json, pair, tagged
 from .errors import (
     DuplicateUniverseElement,
     ElementOutsideUniverse,
@@ -158,16 +158,8 @@ def system_from_json(obj, path: str = "$") -> SetSystem:
         raise InputError(f"{path}: missing 'universe' or 'sets'")
     if not isinstance(obj["universe"], list) or not isinstance(obj["sets"], list):
         raise InputError(f"{path}: 'universe' and 'sets' must be lists")
-    universe = [
-        atom_from_json(a, f"{path}.universe[{i}]") for i, a in enumerate(obj["universe"])
-    ]
-    members = []
-    for i, m in enumerate(obj["sets"]):
-        if not isinstance(m, list):
-            raise InputError(f"{path}.sets[{i}]: expected a list of atoms")
-        members.append(
-            [atom_from_json(a, f"{path}.sets[{i}][{j}]") for j, a in enumerate(m)]
-        )
+    universe = atoms_from_json(obj["universe"], f"{path}.universe")
+    members = [atoms_from_json(m, f"{path}.sets[{i}]") for i, m in enumerate(obj["sets"])]
     return mk_system(universe, members)
 
 
@@ -273,24 +265,31 @@ def tagged_union(*systems: SetSystem) -> SetSystem:
     return _canonical(tuple(sorted(atoms)), atoms, members)
 
 
+def _finsets(support: tuple[Atom, ...], masks: Iterable[int]) -> tuple[Atom, ...]:
+    """The finset atom of each mask over the sorted, distinct ``support``.
+
+    A mask's index list spells its finset as it stands, so nothing is
+    sorted, and the finsets' atom order is the index order of the masks.
+    """
+    return tuple(Atom((FINSET, tuple(map(support.__getitem__, _bits(m))))) for m in masks)
+
+
 def bang(system: SetSystem) -> SetSystem:
     """Each member M becomes the family of all subsets of M, as finset atoms.
 
     The universe is every finset over the support, so it grows as
-    2**|support|.  The support is sorted and distinct, so a submask's index
-    list spells its finset as it stands, and the finsets' atom order is the
-    index order of their submasks: the universe is built in that order, and
-    a member is the numeral whose digit at a submask's position is 1 when
-    the submask lies inside it.  Only the submasks some member holds are
-    kept, in C, as the result's support, so ``_canonical`` has no bits to
-    remap.  A support over ``BANG_SUPPORT_BOUND`` is refused before
-    anything is built.
+    2**|support|.  ``_finsets`` builds it in the index order of the
+    submasks, which is the finsets' atom order, and a member is the
+    numeral whose digit at a submask's position is 1 when the submask lies
+    inside it.  Only the submasks some member holds are kept, in C, as the
+    result's support, so ``_canonical`` has no bits to remap.  A support
+    over ``BANG_SUPPORT_BOUND`` is refused before anything is built.
     """
     support = system.support
     if len(support) > BANG_SUPPORT_BOUND:
         raise UniverseTooLarge(len(support), BANG_SUPPORT_BOUND, "support")
     order = sorted(range(1 << len(support)), key=_index_order)
-    universe = tuple(Atom((FINSET, tuple(map(support.__getitem__, _bits(s))))) for s in order)
+    universe = _finsets(support, order)
     # digit[s]: the place of submask s in a numeral written most significant first
     digit = [0] * len(order)
     for place, s in enumerate(reversed(order)):
@@ -319,5 +318,5 @@ def perp(system: SetSystem) -> SetSystem:
     atoms; in canonical member order these are already sorted.
     """
     masks = [m for m in system.member_masks if m]
-    atoms = tuple(finset(m) for m in system.members if m)
+    atoms = _finsets(system.support, masks)
     return _canonical(atoms, atoms, kernels.transpose(masks, len(system.support)))

@@ -9,7 +9,8 @@ up-set/quasi-order functor pair, and the finite category constructions
 
 Both fields are sorted; ``options[i]`` holds the distinct option masks of
 ``source_field[i]`` over the target field, in ``SetSystem`` member order.
-Atoms appear only in ``mk_trace``, ``pairs``, ``to_json`` and ``__repr__``.
+Atoms appear only in ``mk_trace``, the finsets of ``bang_trace``, ``pairs``,
+``to_json`` and ``__repr__``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
-from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, finset, pair, tagged
+from .atoms import Atom, _Frozen, atom_from_json, atom_to_json, atoms_from_json, pair, tagged
 from .errors import (
     ElementOutsideField,
     EmptyOperandList,
@@ -36,6 +37,7 @@ from .systems import (
     SetSystem,
     _bits,
     _canonical,
+    _finsets,
     _index_order,
     _remap,
     ew_disjoint,
@@ -128,20 +130,14 @@ def trace_from_json(obj, path: str = "$") -> Trace:
     for key in ("source_field", "target_field", "pairs"):
         if not isinstance(obj[key], list):
             raise InputError(f"{path}.{key}: expected a list")
-
-    def atoms(items, where):
-        return [atom_from_json(a, f"{where}[{i}]") for i, a in enumerate(items)]
-
-    src = atoms(obj["source_field"], f"{path}.source_field")
-    tgt = atoms(obj["target_field"], f"{path}.target_field")
+    src = atoms_from_json(obj["source_field"], f"{path}.source_field")
+    tgt = atoms_from_json(obj["target_field"], f"{path}.target_field")
     pairs = []
     for i, entry in enumerate(obj["pairs"]):
         if not isinstance(entry, dict) or "x" not in entry or "v" not in entry:
             raise InputError(f"{path}.pairs[{i}]: expected an object with x and v")
         x = atom_from_json(entry["x"], f"{path}.pairs[{i}].x")
-        if not isinstance(entry["v"], list):
-            raise InputError(f"{path}.pairs[{i}].v: expected a list of atoms")
-        pairs.append((x, atoms(entry["v"], f"{path}.pairs[{i}].v")))
+        pairs.append((x, atoms_from_json(entry["v"], f"{path}.pairs[{i}].v")))
     try:
         return mk_trace(src, tgt, pairs)
     except ElementOutsideField as exc:
@@ -265,14 +261,16 @@ def intersection_trace(field_l: Iterable[Atom], field_m: Iterable[Atom]) -> Trac
 
 def bang_trace(field: Iterable[Atom]) -> Trace:
     """Relates each finset atom over the field to its own element set; a field
-    over ``BANG_SUPPORT_BOUND`` is refused before anything is built."""
+    over ``BANG_SUPPORT_BOUND`` is refused before anything is built.
+
+    The submasks of the sorted field, in index order, are the finsets in
+    atom order, and each one's only option set is the submask itself.
+    """
     f = tuple(sorted(set(field)))
     if len(f) > BANG_SUPPORT_BOUND:
         raise UniverseTooLarge(len(f), BANG_SUPPORT_BOUND, "field")
-    subsets = [
-        tuple(c) for r in range(len(f) + 1) for c in itertools.combinations(f, r)
-    ]
-    return mk_trace([finset(c) for c in subsets], f, [(finset(c), c) for c in subsets])
+    order = sorted(range(1 << len(f)), key=_index_order)
+    return Trace(_finsets(f, order), f, tuple((s,) for s in order))
 
 
 def ss_functor(sim: Simulation) -> Trace:

@@ -14,14 +14,17 @@ from ordkit import (
     QuasiOrder,
     SetSystem,
     Simulation,
+    Trace,
     atom_to_json,
     dim,
     ew_union,
+    finset,
     intersect_qo,
     leaf,
     mk_qo,
     mk_simulation,
     mk_system,
+    mk_trace,
     otp,
     ramsey,
 )
@@ -620,6 +623,15 @@ def trace_reference(source_field, target_field, pairs) -> TraceReference:
         tuple(sorted(set(target_field))),
         frozenset((x, frozenset(v)) for x, v in pairs),
     )
+
+
+def bang_trace_reference(field) -> Trace:
+    """``bang_trace`` through ``mk_trace``: each subset of the sorted field,
+    taken by ``itertools.combinations``, as a finset atom related to its
+    own elements."""
+    f = tuple(sorted(set(field)))
+    subsets = [c for r in range(len(f) + 1) for c in itertools.combinations(f, r)]
+    return mk_trace([finset(c) for c in subsets], f, [(finset(c), c) for c in subsets])
 
 
 def trace_to_json_reference(trace: TraceReference):

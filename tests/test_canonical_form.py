@@ -8,11 +8,13 @@ differ before canonicalization.  ``qo_of`` is checked the same way, against
 the atom-scan reference.
 """
 
+import itertools
 import random
 
 from ordkit import (
     atom_to_json,
     bang,
+    bang_trace,
     direct_image,
     ew_disjoint,
     ew_intersect,
@@ -33,7 +35,7 @@ from ordkit import (
 from ordkit.generators import all_systems, random_trace
 from ordkit.systems import _bits, _index_order
 
-from .oracles import canonical_reference, qo_of_reference, upper_sets
+from .oracles import bang_trace_reference, canonical_reference, qo_of_reference, upper_sets
 
 TRIALS = 60
 
@@ -160,6 +162,27 @@ def test_unary_ops_match_the_reference():
         assert_matches(bang(a), ref_bang(ra))
         assert_matches(perp(a), ref_perp(ra))
         assert_matches(perp(perp(a)), ref_perp(ref_perp(ra)))
+
+
+def test_perp_matches_the_finset_reference_on_every_small_system():
+    nested = (POOL[19], POOL[8], POOL[4])  # a finset, a tag and a pair, out of atom order
+    for n in range(4):
+        for s in all_systems(n):
+            relabel = dict(zip(s.universe, nested))
+            relabelled = mk_system(nested[:n], [[relabel[a] for a in m] for m in s.members])
+            for t in (s, relabelled):
+                assert_matches(perp(t), ref_perp(reference(t.universe, t.members)))
+
+
+def test_bang_trace_matches_the_mk_trace_reference():
+    atoms = (POOL[0], POOL[1], POOL[4], POOL[9], POOL[17], POOL[14])
+    for n in range(5):
+        for field in itertools.permutations(atoms, n):
+            for f in (field, field + field[:1]):
+                got, want = bang_trace(f), bang_trace_reference(f)
+                assert got.source_field == want.source_field
+                assert got.target_field == want.target_field
+                assert got.options == want.options
 
 
 def test_ss_and_direct_image_match_the_reference():

@@ -116,6 +116,81 @@ def test_trace_commands(runner, tmp_path):
     assert result.exit_code == 2  # field mismatch is an input error
 
 
+_TEXT_UNIVERSE = ["a", "b", {"finset": ["a", "b"]}, {"pair": ["a", {"tag": ["c", 1]}]}]
+_TEXT_INPUTS = {
+    "qo.json": {
+        "elements": ["a", {"pair": ["a", "b"]}, {"tag": ["c", 1]}, {"word": ["a", "b"]}],
+        "le": [["a", {"pair": ["a", "b"]}], [{"word": ["a", "b"]}, "a"]],
+    },
+    "system.json": {
+        "universe": _TEXT_UNIVERSE,
+        "sets": [["a"], ["b", _TEXT_UNIVERSE[2]], [_TEXT_UNIVERSE[3], "a"], []],
+    },
+    "trace.json": {
+        "source_field": ["x", "y", "z"],
+        "target_field": _TEXT_UNIVERSE,
+        "pairs": [
+            {"x": "x", "v": ["a"]},
+            {"x": "y", "v": ["b", _TEXT_UNIVERSE[2]]},
+            {"x": "y", "v": []},
+            {"x": "z", "v": [_TEXT_UNIVERSE[3], "a"]},
+        ],
+    },
+    "inner.json": {
+        "source_field": _TEXT_UNIVERSE,
+        "target_field": ["0", "1"],
+        "pairs": [
+            {"x": "a", "v": ["0"]},
+            {"x": "b", "v": ["1"]},
+            {"x": _TEXT_UNIVERSE[2], "v": []},
+            {"x": _TEXT_UNIVERSE[3], "v": ["0", "1"]},
+            {"x": _TEXT_UNIVERSE[3], "v": ["1"]},
+        ],
+    },
+    "fragment.json": {"alphabet": ["a", "b"], "max_len": 4, "words": ["ab", "b"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ["ss", "qo.json"],
+            "SetSystem[{},{a,(a,b)},{a,(a,b),c@1},{a,(a,b),c@1,w'ab'},{a,(a,b),w'ab'},"
+            "{(a,b)},{(a,b),c@1},{c@1}]",
+        ),
+        (["qo", "system.json"], "QuasiOrder([a, b, (a,c@1), {a,b}]; b<={a,b},(a,c@1)<=a,{a,b}<=b)"),
+        (
+            ["op", "bang", "system.json"],
+            "SetSystem[{{}},{{},{a}},{{},{a},{a,(a,c@1)},{(a,c@1)}},{{},{b},{b,{a,b}},{{a,b}}}]",
+        ),
+        (
+            ["op", "union", "system.json", "system.json"],
+            "SetSystem[{},{a},{a,b,(a,c@1),{a,b}},{a,b,{a,b}},{a,(a,c@1)},{b,{a,b}}]",
+        ),
+        (["trace", "image", "trace.json", "system.json"], "SetSystem[{x,y},{x,y,z},{y}]"),
+        (["trace", "compose", "trace.json", "inner.json"], "Trace[x:{0},y:{},z:{0,1}]"),
+        (["lang", "star", "fragment.json"], "ε ab abab abb abbb b bab babb bb bbab bbb bbbb"),
+        (["lang", "shuffle", "fragment.json", "fragment.json"], "aabb abab abb bab bb"),
+    ],
+    ids=["ss", "qo", "op-bang", "op-union", "trace-image", "trace-compose", "lang-star", "lang-shuffle"],
+)
+def test_text_mode_builds_no_json(runner, monkeypatch, tmp_path, argv, text):
+    # the expected text is what these commands printed before text mode stopped
+    # building the JSON payload
+    for name, doc in _TEXT_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+
+    def refuse(self):
+        raise AssertionError("text mode built the JSON payload")
+
+    for cls in (ordkit.SetSystem, ordkit.QuasiOrder, ordkit.Trace, ordkit.LanguageFragment):
+        monkeypatch.setattr(cls, "to_json", refuse)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, text + "\n", "")
+
+
 def test_ramsey_commands(runner):
     assert runner.invoke(main, ["ramsey", "bound", "3", "3"]).output.strip() == "6"
     assert runner.invoke(main, ["ramsey", "exact", "3", "3"]).output.strip() == "6"

@@ -138,12 +138,13 @@ def test_otp_of_a_large_antichain_runs_no_search():
     assert peak < 1_000_000
 
 
-def test_ss_examples():
+def test_ss_examples(monkeypatch):
     u = nats(2)
     assert ss(chain(2)).family == system(2, (), (1,), (0, 1)).family
     assert len(ss(antichain(2)).members) == 4
+    monkeypatch.setattr(orders, "SS_ELEMENT_BOUND", 4)
     with pytest.raises(UniverseTooLarge):
-        ss(antichain(5), max_elements=4)
+        ss(antichain(5))
 
 
 def test_ss_matches_definition_oracle():
